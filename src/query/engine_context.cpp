@@ -159,30 +159,37 @@ Status EngineContext::BindData(
     return Status::InvalidArgument("engine context needs a non-empty "
                                    "pdf-model dataset");
   }
-  const std::uint64_t fingerprint =
-      FingerprintRunData(pdf, samples, seed, proud_sigma);
-  if (bound_ && fingerprint == data_fingerprint_) {
-    // Bit-identical rebind (the τ-sweep pattern): keep every engine and
-    // cache; the freshly perturbed copies are discarded.
-    ++stats_.data_rebind_hits;
-    return Status::OK();
-  }
-  pdf_ = std::move(pdf);
-  samples_ = std::move(samples);
-  seed_ = seed;
-  proud_sigma_ = proud_sigma;
-  data_fingerprint_ = fingerprint;
-  bound_ = true;
+  auto record = std::make_shared<RunData>();
+  record->fingerprint = FingerprintRunData(pdf, samples, seed, proud_sigma);
+  ++stats_.fingerprint_passes;
+  record->pdf = std::move(pdf);
+  record->samples = std::move(samples);
+  record->seed = seed;
+  record->proud_sigma = proud_sigma;
   // A direct bind is anonymous; ActivateResident re-labels it afterwards.
-  active_resident_.clear();
-  // Engine state is data-specific; drop it and rebuild lazily. The DUST
-  // table cache survives on purpose — tables depend only on the error
-  // models, not the observations.
+  // On a bit-identical rebind (the τ-sweep pattern) the fresh record is
+  // discarded and the label kept.
+  if (Bind(std::move(record))) active_resident_.clear();
+  return Status::OK();
+}
+
+bool EngineContext::Bind(std::shared_ptr<const RunData> record) {
+  if (bound_ == record ||
+      (bound_ != nullptr && bound_->fingerprint == record->fingerprint)) {
+    // Same record, or identical content under another record: the engines
+    // keep borrowing the record they were built on.
+    ++stats_.data_rebind_hits;
+    return false;
+  }
+  // Engine state is data-specific; drop it before releasing the record it
+  // borrows, and rebuild lazily. The DUST table cache survives on purpose —
+  // tables depend only on the error models, not the observations.
   uncertain_.reset();
   uncertain_unusable_ = false;
   munich_configured_ = false;
+  bound_ = std::move(record);
   ++stats_.data_binds;
-  return Status::OK();
+  return true;
 }
 
 Status EngineContext::AddResident(
@@ -193,16 +200,19 @@ Status EngineContext::AddResident(
     return Status::InvalidArgument("resident '" + name +
                                    "' needs a non-empty pdf-model dataset");
   }
-  Resident resident;
-  resident.observed = ts::Dataset(name);
+  auto record = std::make_shared<RunData>();
+  record->observed = ts::Dataset(name);
   for (const auto& series : pdf.series) {
-    resident.observed.Add(series.AsTimeSeries());
+    record->observed.Add(series.AsTimeSeries());
   }
-  resident.pdf = std::move(pdf);
-  resident.samples = std::move(samples);
-  resident.seed = seed;
-  resident.proud_sigma = proud_sigma;
-  residents_[name] = std::move(resident);
+  record->fingerprint = FingerprintRunData(pdf, samples, seed, proud_sigma);
+  record->observed_fingerprint = FingerprintDataset(record->observed);
+  stats_.fingerprint_passes += 2;
+  record->pdf = std::move(pdf);
+  record->samples = std::move(samples);
+  record->seed = seed;
+  record->proud_sigma = proud_sigma;
+  residents_[name] = std::move(record);
   ++stats_.resident_adds;
   return Status::OK();
 }
@@ -212,10 +222,7 @@ Status EngineContext::ActivateResident(const std::string& name) {
   if (it == residents_.end()) {
     return Status::NotFound("no resident dataset named '" + name + "'");
   }
-  // BindData takes ownership, so hand it copies; re-activating the dataset
-  // that is already bound fingerprints identically and keeps every engine.
-  UTS_RETURN_NOT_OK(BindData(it->second.pdf, it->second.samples,
-                             it->second.seed, it->second.proud_sigma));
+  Bind(it->second);
   active_resident_ = name;
   ++stats_.resident_activations;
   return Status::OK();
@@ -233,8 +240,8 @@ Status EngineContext::DropResident(const std::string& name) {
   if (it == residents_.end()) {
     return Status::NotFound("no resident dataset named '" + name + "'");
   }
-  // The active binding owns its copies, so dropping the entry never
-  // invalidates bound engines; only the label goes away.
+  // Engines hold their record through bound_ / certain_owner_, so dropping
+  // the entry never invalidates them; only the label goes away.
   if (active_resident_ == name) active_resident_.clear();
   residents_.erase(it);
   return Status::OK();
@@ -243,23 +250,41 @@ Status EngineContext::DropResident(const std::string& name) {
 const ts::Dataset* EngineContext::ResidentObserved(
     const std::string& name) const {
   auto it = residents_.find(name);
-  return it == residents_.end() ? nullptr : &it->second.observed;
+  return it == residents_.end() ? nullptr : &it->second->observed;
 }
 
 const uncertain::UncertainDataset* EngineContext::ResidentPdf(
     const std::string& name) const {
   auto it = residents_.find(name);
-  return it == residents_.end() ? nullptr : &it->second.pdf;
+  return it == residents_.end() ? nullptr : &it->second->pdf;
+}
+
+std::shared_ptr<const EngineContext::RunData> EngineContext::ResidentRecordOf(
+    const ts::Dataset& exact) const {
+  for (const auto& [name, record] : residents_) {
+    if (&record->observed == &exact) return record;
+  }
+  return nullptr;
 }
 
 const DistanceMatrixEngine& EngineContext::Certain(const ts::Dataset& exact,
                                                    std::size_t grain) {
-  const std::uint64_t fingerprint = FingerprintDataset(exact);
+  std::shared_ptr<const RunData> owner = ResidentRecordOf(exact);
+  std::uint64_t fingerprint = 0;
+  if (owner != nullptr) {
+    fingerprint = owner->observed_fingerprint;
+  } else {
+    fingerprint = FingerprintDataset(exact);
+    ++stats_.fingerprint_passes;
+  }
   // Compare the stored key address, never certain_->dataset(): the cached
   // engine borrows a dataset that may be gone by now (a driver rebuilding
   // per iteration), and the address alone is safe to compare.
   if (certain_ != nullptr && fingerprint == certain_fingerprint_ &&
       grain == certain_grain_ && certain_dataset_ == &exact) {
+    // A resident now behind the cached address must stay alive with the
+    // engine; a non-resident caller keeps any record already held.
+    if (owner != nullptr) certain_owner_ = std::move(owner);
     ++stats_.certain_reuses;
     return *certain_;
   }
@@ -275,7 +300,10 @@ const DistanceMatrixEngine& EngineContext::Certain(const ts::Dataset& exact,
   options.index = options_.index;
   options.buffer_pool = buffer_pool();
   options.block_rows = options_.block_rows;
+  // Replace the engine before its record: the old engine borrows the old
+  // record's dataset until it is destroyed.
   certain_ = std::make_unique<DistanceMatrixEngine>(exact, options);
+  certain_owner_ = std::move(owner);
   certain_dataset_ = &exact;
   certain_fingerprint_ = fingerprint;
   certain_grain_ = grain;
@@ -284,7 +312,7 @@ const DistanceMatrixEngine& EngineContext::Certain(const ts::Dataset& exact,
 }
 
 UncertainEngine* EngineContext::EnsureUncertain() {
-  if (!bound_ || uncertain_unusable_) return nullptr;
+  if (bound_ == nullptr || uncertain_unusable_) return nullptr;
   if (uncertain_ != nullptr) return uncertain_.get();
   UncertainEngineOptions options;
   options.threads = threads_;
@@ -294,10 +322,10 @@ UncertainEngine* EngineContext::EnsureUncertain() {
   options.index = options_.index;
   options.buffer_pool = buffer_pool();
   options.block_rows = options_.block_rows;
-  options.seed = seed_;
-  options.proud_sigma = proud_sigma_;
+  options.seed = bound_->seed;
+  options.proud_sigma = bound_->proud_sigma;
   if (dust_cache_ != nullptr) options.dust = dust_cache_->options();
-  auto engine = UncertainEngine::Create(pdf_, std::move(options));
+  auto engine = UncertainEngine::Create(bound_->pdf, std::move(options));
   if (!engine.ok()) {
     // Not engine-shaped (e.g. non-uniform lengths): remember, so matchers
     // keep their sequential scalar paths without re-trying every Bind.
@@ -336,7 +364,7 @@ UncertainEngine* EngineContext::AcquireDust(
 
 UncertainEngine* EngineContext::AcquireProud(double sigma) {
   UncertainEngine* engine = EnsureUncertain();
-  if (engine == nullptr || sigma != proud_sigma_) {
+  if (engine == nullptr || sigma != bound_->proud_sigma) {
     ++stats_.acquires_declined;
     return nullptr;
   }
@@ -347,7 +375,7 @@ UncertainEngine* EngineContext::AcquireProud(double sigma) {
 UncertainEngine* EngineContext::AcquireMunich(
     const measures::MunichOptions& munich) {
   UncertainEngine* engine = EnsureUncertain();
-  if (engine == nullptr || !samples_.has_value()) {
+  if (engine == nullptr || !bound_->samples.has_value()) {
     ++stats_.acquires_declined;
     return nullptr;
   }
@@ -360,7 +388,7 @@ UncertainEngine* EngineContext::AcquireMunich(
     return nullptr;
   }
   if (!engine->has_samples()) {
-    if (!engine->AttachSamples(*samples_).ok()) {
+    if (!engine->AttachSamples(*bound_->samples).ok()) {
       // Shape mismatch between the pdf and sample models: the sequential
       // path can still serve sample-only matchers.
       ++stats_.acquires_declined;

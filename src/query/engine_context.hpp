@@ -120,8 +120,13 @@ class EngineContext {
     std::size_t acquires_declined = 0; ///< Acquire* calls that returned null.
     std::size_t resident_adds = 0;     ///< AddResident calls that stored or
                                        ///< replaced an entry.
-    std::size_t resident_activations = 0;  ///< ActivateResident calls that
-                                           ///< went through BindData.
+    std::size_t resident_activations = 0;  ///< Successful ActivateResident
+                                           ///< calls (kept or rebound).
+    std::size_t fingerprint_passes = 0;  ///< Full-data content fingerprint
+                                         ///< passes (O(n·L) each): one per
+                                         ///< BindData, two per AddResident,
+                                         ///< one per Certain() over a
+                                         ///< dataset that is not a resident.
     std::size_t buffer_pools_created = 0;  ///< Context-owned ts::BufferPool
                                            ///< constructions (at most 1).
   };
@@ -166,12 +171,13 @@ class EngineContext {
 
   /// The bound pdf-model dataset; null before the first BindData.
   const uncertain::UncertainDataset* pdf() const {
-    return bound_ ? &pdf_ : nullptr;
+    return bound_ != nullptr ? &bound_->pdf : nullptr;
   }
 
   /// The bound repeated-observations dataset; null when absent.
   const uncertain::MultiSampleDataset* samples() const {
-    return bound_ && samples_.has_value() ? &*samples_ : nullptr;
+    return bound_ != nullptr && bound_->samples.has_value() ? &*bound_->samples
+                                                            : nullptr;
   }
   /// \}
 
@@ -179,24 +185,31 @@ class EngineContext {
   /// A long-running service keeps several evaluations' datasets alive in one
   /// context and switches between them per request. Residency stores each
   /// dataset (pdf model, optional sample model, run parameters, plus the
-  /// observations viewed as a certain dataset) under a caller-chosen name;
-  /// `ActivateResident` routes through `BindData`, so re-activating the
-  /// dataset that is already bound is a fingerprint rebind hit that keeps
-  /// every engine and cache, while switching to a different resident drops
-  /// only the data-specific engine state (the DUST table cache survives by
-  /// design). Like the rest of the context, residency is setup-time state:
-  /// calls are not thread-safe against concurrent queries.
+  /// observations viewed as a certain dataset) under a caller-chosen name,
+  /// fingerprinted once when it is added. `ActivateResident` never copies or
+  /// re-hashes the data: re-activating the record that is already bound is
+  /// a pointer compare, and activating another record compares the two
+  /// stored fingerprints — a rebind hit keeps every engine and cache, a
+  /// mismatch drops only the data-specific engine state (the DUST table
+  /// cache survives by design). Engines borrow the record they were built
+  /// on, and the context keeps that record alive until it drops those
+  /// engines, even after `DropResident` or a replacing `AddResident`. Like
+  /// the rest of the context, residency is setup-time state: calls are not
+  /// thread-safe against concurrent queries.
   /// \{
 
-  /// Store (or replace) a resident dataset under `name`. The data is copied
-  /// into the residency table — the context does not borrow — and the
-  /// active binding is untouched until `ActivateResident(name)`.
+  /// Store (or replace) a resident dataset under `name`. The data is moved
+  /// into a new immutable record — the context does not borrow — and
+  /// fingerprinted once; the active binding is untouched until
+  /// `ActivateResident(name)`. Replacing a name never changes what engines
+  /// built on the old record see.
   Status AddResident(const std::string& name, uncertain::UncertainDataset pdf,
                      std::optional<uncertain::MultiSampleDataset> samples,
                      std::uint64_t seed, double proud_sigma);
 
-  /// Bind the named resident as the context's active dataset (see
-  /// `BindData` for the rebind semantics). NotFound when absent.
+  /// Bind the named resident as the context's active dataset in O(1): the
+  /// same rebind-hit / replace semantics as `BindData`, decided on the
+  /// stored fingerprints. NotFound when absent.
   Status ActivateResident(const std::string& name);
 
   /// True iff a resident named `name` is stored.
@@ -214,13 +227,14 @@ class EngineContext {
   }
 
   /// Drop the named resident. The active binding (and its engines) stays
-  /// usable even when it came from the dropped entry — the context owns the
-  /// bound copies. NotFound when absent.
+  /// usable even when it came from the dropped entry — the context keeps
+  /// the record alive while engines borrow it. NotFound when absent.
   Status DropResident(const std::string& name);
 
   /// The resident's observations viewed as a certain dataset (the input of
-  /// the Euclidean / ground-truth paths, stable address for `Certain`);
-  /// null when absent.
+  /// the Euclidean / ground-truth paths; `Certain` recognises it and uses
+  /// the fingerprint stored at add time); null when absent. Stays valid
+  /// until the entry is dropped or replaced.
   const ts::Dataset* ResidentObserved(const std::string& name) const;
 
   /// The resident's pdf-model run parameters, exported for servers that
@@ -234,8 +248,11 @@ class EngineContext {
   /// The shared DistanceMatrixEngine over `exact`, scheduled on the shared
   /// pool. Cached across calls keyed by the dataset's content and `grain`
   /// (0 = default), so repeated runs over the same exact dataset pack it
-  /// once. `exact` is borrowed and must outlive the context (or the next
-  /// Certain() call with different data).
+  /// once. A resident's `ResidentObserved` dataset is keyed by its stored
+  /// fingerprint (no pass over the data) and kept alive by the context
+  /// while the engine borrows it; any other `exact` is fingerprinted per
+  /// call, borrowed, and must outlive the context (or the next Certain()
+  /// call with different data).
   const DistanceMatrixEngine& Certain(const ts::Dataset& exact,
                                       std::size_t grain = 0);
   /// \}
@@ -275,15 +292,31 @@ class EngineContext {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// One stored resident: the datasets plus the run parameters BindData
-  /// bakes into engine state.
-  struct Resident {
-    uncertain::UncertainDataset pdf;                     ///< PDF model.
+  /// One immutable run-data record: the datasets plus the run parameters
+  /// BindData bakes into engine state, fingerprinted once when it enters
+  /// the context. Residents also carry their observations as a certain
+  /// dataset; direct binds leave `observed` empty. Held by shared_ptr so
+  /// engines can borrow a record past its residency-table entry.
+  struct RunData {
+    uncertain::UncertainDataset pdf;                       ///< PDF model.
     std::optional<uncertain::MultiSampleDataset> samples;  ///< Sample model.
-    ts::Dataset observed;      ///< Observations as a certain dataset.
     std::uint64_t seed = 0;    ///< MUNICH pair-stream base seed.
     double proud_sigma = 1.0;  ///< Constant σ reported to PROUD.
+    std::uint64_t fingerprint = 0;  ///< FingerprintRunData of the above.
+    ts::Dataset observed;      ///< Residents: observations as certain data.
+    std::uint64_t observed_fingerprint = 0;  ///< Content hash of `observed`.
   };
+
+  /// Make `record` the bound data: a rebind hit (same stored fingerprint)
+  /// keeps the current record and every engine built on it and returns
+  /// false; otherwise the data-specific engine state is dropped, `record`
+  /// is bound and the call returns true.
+  bool Bind(std::shared_ptr<const RunData> record);
+
+  /// The resident record whose `observed` dataset is `exact`; null when
+  /// `exact` is not a resident's observations.
+  std::shared_ptr<const RunData> ResidentRecordOf(
+      const ts::Dataset& exact) const;
 
   /// Build the shared UncertainEngine over the bound pdf dataset if not
   /// done yet; returns null when unbound or not engine-shaped.
@@ -299,13 +332,9 @@ class EngineContext {
   std::shared_ptr<ts::BufferPool> owned_buffer_pool_;
   bool buffer_pool_failed_ = false;  ///< Create failed; stay resident.
 
-  // Bound run data (owned) + its content fingerprint.
-  bool bound_ = false;
-  uncertain::UncertainDataset pdf_;
-  std::optional<uncertain::MultiSampleDataset> samples_;
-  std::uint64_t seed_ = 0;
-  double proud_sigma_ = 1.0;
-  std::uint64_t data_fingerprint_ = 0;
+  // Bound run data. Declared before the engines so they are destroyed
+  // first: the uncertain engine borrows this record's datasets.
+  std::shared_ptr<const RunData> bound_;
 
   // The shared uncertain engine + its lazy measure state.
   std::unique_ptr<UncertainEngine> uncertain_;
@@ -316,14 +345,18 @@ class EngineContext {
   bool munich_configured_ = false;
   measures::MunichOptions munich_config_;
 
-  // Residency table of the server front end; map nodes give ResidentObserved
-  // a stable address for the certain-engine cache.
-  std::map<std::string, Resident> residents_;
+  // Residency table of the server front end. Replacing an entry stores a
+  // new record; the old one lives on while bound_ or certain_owner_ hold it.
+  std::map<std::string, std::shared_ptr<const RunData>> residents_;
   std::string active_resident_;  ///< Empty when the binding is not a resident.
 
   // The cached certain engine, keyed by dataset address + content + grain.
-  // The address is kept separately because the borrowed dataset may no
-  // longer be alive when the next Certain() call checks the key.
+  // The address is kept separately because a borrowed non-resident dataset
+  // may no longer be alive when the next Certain() call checks the key.
+  // When the engine was built over a resident, certain_owner_ keeps that
+  // record (and so the address) alive: a replaced entry's new content can
+  // never appear behind the old key.
+  std::shared_ptr<const RunData> certain_owner_;
   std::unique_ptr<DistanceMatrixEngine> certain_;
   const ts::Dataset* certain_dataset_ = nullptr;
   std::uint64_t certain_fingerprint_ = 0;

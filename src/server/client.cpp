@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -91,6 +92,10 @@ Status Client::Dial() {
     return Status::IOError("connect failed for " + options_.host + ":" +
                            std::to_string(options_.port));
   }
+  // Requests are small single-send frames awaiting a reply: never hold one
+  // back waiting for the previous frame's ACK.
+  int nodelay = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #include "server/server.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -207,6 +208,12 @@ void Server::AcceptLoop() {
       if (stopping_.load()) break;
       if (errno == EINTR) continue;
       break;  // Listener is gone; nothing left to accept.
+    }
+    if (options_.unix_socket_path.empty()) {
+      // Responses are single-send frames: disable Nagle so one is never
+      // held back until the client ACKs the previous one.
+      int nodelay = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     }
     std::lock_guard<std::mutex> lock(connections_mutex_);
     if (stopping_.load()) {

@@ -125,6 +125,8 @@ DatasetListResponse Service::List(std::uint64_t request_seq) {
 }
 
 Status Service::Activate(const std::string& name, std::uint32_t query) {
+  // A pointer compare when `name` is already bound, a compare of the two
+  // stored fingerprints otherwise.
   UTS_RETURN_NOT_OK(context_.ActivateResident(name));
   const auto* pdf = context_.ResidentPdf(name);
   if (pdf != nullptr && query >= pdf->size()) {
@@ -174,6 +176,8 @@ Result<KnnResponse> Service::Knn(const QueryRequest& request,
   response.query = request.query;
   index::SearchCost cost;
   if (request.measure == WireMeasure::kEuclid) {
+    // Certain() recognises the resident's observations and keys its cache
+    // by the fingerprint stored at bind time.
     const ts::Dataset* observed = context_.ResidentObserved(request.dataset);
     const auto& engine = context_.Certain(*observed);
     response.neighbors =

@@ -139,8 +139,9 @@ class Service {
     double proud_sigma = 1.0;  ///< σ reported to PROUD at bind time.
   };
 
-  /// Activate `name` and fail with NotFound/InvalidArgument when absent or
-  /// the query index is out of range.
+  /// Activate `name` — O(1), no copy of or pass over its data, so every
+  /// request (and every item of a KnnSweep) may call it — and fail with
+  /// NotFound when absent or the query index is out of range.
   Status Activate(const std::string& name, std::uint32_t query);
 
   /// The shared uncertain engine for `measure`, or a Status explaining why

@@ -13,6 +13,11 @@
 //  * lazy caches — τ-sweep style rebinds to bit-identical data keep the
 //    packed engines; incompatible measure configurations are declined and
 //    fall back to the sequential scalar path;
+//  * O(1) residency — re-activating the bound resident and looking up its
+//    certain engine do no full-data work (the fingerprint-pass, pack and
+//    bind counters stay put); replacing, dropping or direct-binding over a
+//    resident never serves stale data, and engines outlive the table entry
+//    they were built on;
 //  * the unbound-matcher regression — Retrieve / Matches /
 //    CalibrationDistance on a never-bound matcher return a Status instead
 //    of dereferencing null state.
@@ -24,6 +29,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -417,8 +423,8 @@ TEST(EngineContextTest, ResidencyTableActivatesAndQueriesMultipleDatasets) {
   EXPECT_EQ(engines.ResidentNames(),
             (std::vector<std::string>{"a", "b"}));
 
-  // Activation routes residents through BindData; each serves queries on
-  // its own data (sweep lengths prove which dataset is live).
+  // Each activated resident serves queries on its own data (sweep lengths
+  // prove which dataset is live).
   ASSERT_TRUE(engines.ActivateResident("a").ok());
   ASSERT_NE(engines.active_resident(), nullptr);
   EXPECT_EQ(*engines.active_resident(), "a");
@@ -431,8 +437,8 @@ TEST(EngineContextTest, ResidencyTableActivatesAndQueriesMultipleDatasets) {
   ASSERT_NE(dust_b, nullptr);
   EXPECT_EQ(dust_b->DustDistances(0).ValueOrDie().size(), 6u);
 
-  // Re-activating the already-active resident is dedup'd by the content
-  // fingerprint: no repack.
+  // Re-activating the already-active resident is a pointer compare: no
+  // repack.
   const std::size_t packs_before = engines.stats().pdf_packs;
   ASSERT_TRUE(engines.ActivateResident("b").ok());
   EXPECT_EQ(engines.stats().pdf_packs, packs_before);
@@ -477,8 +483,9 @@ TEST(EngineContextTest, ResidentActivationMatchesDirectBindBitwise) {
 
 TEST(EngineContextTest, DropActiveResidentClearsLabelButKeepsEnginesUsable) {
   // Dropping the resident that is currently bound removes the name from the
-  // table and clears the active label — but the binding owns copies, so
-  // engines acquired before the drop keep answering, bitwise unchanged.
+  // table and clears the active label — but the binding keeps its record
+  // alive, so engines acquired before the drop keep answering, bitwise
+  // unchanged.
   const ts::Dataset exact = MakeExact(10, 8, 31);
   const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.4);
 
@@ -506,7 +513,7 @@ TEST(EngineContextTest, DropActiveResidentClearsLabelButKeepsEnginesUsable) {
 
 TEST(EngineContextTest, ReAddSameNameRebindsOnIdenticalDataRebuildsOnNew) {
   // Re-AddResident under an existing name replaces the stored entry.
-  // Activation then goes through BindData's content fingerprint: identical
+  // Activation then compares the stored content fingerprints: identical
   // bytes keep the pack and engines (a rebind hit), different bytes repack.
   const ts::Dataset exact = MakeExact(12, 6, 33);
   const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
@@ -545,6 +552,233 @@ TEST(EngineContextTest, ReAddSameNameRebindsOnIdenticalDataRebuildsOnNew) {
   EXPECT_EQ(engines.stats().pdf_packs, 2u);
   EXPECT_EQ(engines.stats().resident_adds, 3u);
   EXPECT_EQ(engines.stats().resident_activations, 3u);
+}
+
+// --- O(1) resident activation and its invalidation rules ---------------------
+
+/// Euclidean and DUST k-NN answers of one query, for bitwise comparisons.
+struct Answers {
+  std::vector<Neighbor> euclid;
+  std::vector<Neighbor> dust;
+};
+
+void ExpectSameNeighbors(const std::vector<Neighbor>& a,
+                         const std::vector<Neighbor>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].index, b[i].index) << "rank " << i;
+    EXPECT_EQ(a[i].distance, b[i].distance) << "rank " << i;
+  }
+}
+
+/// Answers of query `q` from the context's currently active resident.
+Answers ResidentAnswers(EngineContext& engines, const std::string& name,
+                        std::size_t q) {
+  Answers out;
+  out.euclid =
+      engines.Certain(*engines.ResidentObserved(name)).KNearestEuclidean(q, 3);
+  UncertainEngine* dust = engines.AcquireDust(measures::DustOptions{});
+  EXPECT_NE(dust, nullptr);
+  if (dust != nullptr) out.dust = dust->KNearestDust(q, 3).ValueOrDie();
+  return out;
+}
+
+/// Answers of query `q` from a fresh context bound directly to `pdf`.
+Answers FreshAnswers(const uncertain::UncertainDataset& pdf, std::uint64_t seed,
+                     double sigma, std::size_t q) {
+  EngineContext fresh{EngineContextOptions{}};
+  EXPECT_TRUE(fresh.BindData(pdf, std::nullopt, seed, sigma).ok());
+  ts::Dataset observed("fresh");
+  for (const auto& series : pdf.series) observed.Add(series.AsTimeSeries());
+  Answers out;
+  out.euclid = fresh.Certain(observed).KNearestEuclidean(q, 3);
+  out.dust = fresh.AcquireDust(measures::DustOptions{})
+                 ->KNearestDust(q, 3)
+                 .ValueOrDie();
+  return out;
+}
+
+void ExpectSameAnswers(const Answers& got, const Answers& want) {
+  ExpectSameNeighbors(got.euclid, want.euclid);
+  ExpectSameNeighbors(got.dust, want.dust);
+}
+
+TEST(EngineContextTest, RepeatedActivationDoesNoFullDataWork) {
+  // (a) Activating the bound resident and looking up its certain engine
+  // must not fingerprint, copy or pack anything: the per-request cost is
+  // O(1) however large the dataset.
+  const ts::Dataset exact = MakeExact(16, 12, 41);
+  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.4);
+
+  EngineContext engines{EngineContextOptions{}};
+  ASSERT_TRUE(engines
+                  .AddResident("r", uncertain::PerturbDataset(exact, spec, 3),
+                               std::nullopt, 3, 0.4)
+                  .ok());
+  // Fingerprinted exactly once per dataset (run data + observations).
+  EXPECT_EQ(engines.stats().fingerprint_passes, 2u);
+  ASSERT_TRUE(engines.ActivateResident("r").ok());
+  const Answers first = ResidentAnswers(engines, "r", 1);
+
+  const EngineContext::Stats before = engines.stats();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(engines.ActivateResident("r").ok());
+    engines.Certain(*engines.ResidentObserved("r"));
+  }
+  const EngineContext::Stats& after = engines.stats();
+  EXPECT_EQ(after.fingerprint_passes, before.fingerprint_passes);
+  EXPECT_EQ(after.pdf_packs, before.pdf_packs);
+  EXPECT_EQ(after.certain_packs, before.certain_packs);
+  EXPECT_EQ(after.data_binds, before.data_binds);
+  EXPECT_EQ(after.data_rebind_hits, before.data_rebind_hits + 1000);
+  EXPECT_EQ(after.certain_reuses, before.certain_reuses + 1000);
+  EXPECT_EQ(after.resident_activations, before.resident_activations + 1000);
+  ExpectSameAnswers(ResidentAnswers(engines, "r", 1), first);
+
+  // A dataset that is not a resident still pays one pass per lookup.
+  const std::size_t passes = engines.stats().fingerprint_passes;
+  engines.Certain(exact);
+  engines.Certain(exact);
+  EXPECT_EQ(engines.stats().fingerprint_passes, passes + 2);
+}
+
+TEST(EngineContextTest, ReAddSameNameServesNewDataBitwise) {
+  // (b) Replacing a resident reuses its name — and, in a map, possibly its
+  // node — but the next Euclidean and DUST answers must come from the new
+  // data, bitwise equal to a fresh context bound to it.
+  const ts::Dataset exact_old = MakeExact(12, 10, 51);
+  const ts::Dataset exact_new = MakeExact(12, 10, 52);
+  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.4);
+  const auto pdf_old = uncertain::PerturbDataset(exact_old, spec, 7);
+  const auto pdf_new = uncertain::PerturbDataset(exact_new, spec, 7);
+
+  EngineContext engines{EngineContextOptions{}};
+  ASSERT_TRUE(engines.AddResident("r", pdf_old, std::nullopt, 7, 0.4).ok());
+  ASSERT_TRUE(engines.ActivateResident("r").ok());
+  ExpectSameAnswers(ResidentAnswers(engines, "r", 2),
+                    FreshAnswers(pdf_old, 7, 0.4, 2));
+
+  ASSERT_TRUE(engines.AddResident("r", pdf_new, std::nullopt, 7, 0.4).ok());
+  ASSERT_TRUE(engines.ActivateResident("r").ok());
+  for (std::size_t q = 0; q < 4; ++q) {
+    ExpectSameAnswers(ResidentAnswers(engines, "r", q),
+                      FreshAnswers(pdf_new, 7, 0.4, q));
+  }
+  EXPECT_EQ(engines.stats().certain_packs, 2u);
+  EXPECT_EQ(engines.stats().pdf_packs, 2u);
+}
+
+TEST(EngineContextTest, DirectBindThenActivateRebindsResident) {
+  // (c) A direct BindData of other data displaces the resident; activating
+  // the resident again must rebind it, not keep the direct data.
+  const ts::Dataset exact_res = MakeExact(10, 8, 61);
+  const ts::Dataset exact_direct = MakeExact(14, 8, 62);
+  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
+  const auto pdf_res = uncertain::PerturbDataset(exact_res, spec, 4);
+  const auto pdf_direct = uncertain::PerturbDataset(exact_direct, spec, 4);
+
+  EngineContext engines{EngineContextOptions{}};
+  ASSERT_TRUE(engines.AddResident("r", pdf_res, std::nullopt, 4, 0.5).ok());
+  ASSERT_TRUE(engines.ActivateResident("r").ok());
+  ASSERT_NE(engines.AcquireDust(measures::DustOptions{}), nullptr);
+
+  ASSERT_TRUE(engines.BindData(pdf_direct, std::nullopt, 4, 0.5).ok());
+  EXPECT_EQ(engines.active_resident(), nullptr);
+  ASSERT_EQ(engines.pdf()->size(), 14u);
+  const std::size_t binds = engines.stats().data_binds;
+
+  ASSERT_TRUE(engines.ActivateResident("r").ok());
+  EXPECT_EQ(engines.stats().data_binds, binds + 1);
+  ASSERT_NE(engines.active_resident(), nullptr);
+  EXPECT_EQ(*engines.active_resident(), "r");
+  EXPECT_EQ(engines.pdf(), engines.ResidentPdf("r"));
+  for (std::size_t q = 0; q < 3; ++q) {
+    ExpectSameAnswers(ResidentAnswers(engines, "r", q),
+                      FreshAnswers(pdf_res, 4, 0.5, q));
+  }
+}
+
+TEST(EngineContextTest, DropThenReAddNeverServesOldData) {
+  // (d) Dropping a resident and adding different data under the same name:
+  // activation and the certain lookup must both see only the new data.
+  const ts::Dataset exact_old = MakeExact(9, 12, 71);
+  const ts::Dataset exact_new = MakeExact(9, 12, 72);
+  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.4);
+  const auto pdf_old = uncertain::PerturbDataset(exact_old, spec, 2);
+  const auto pdf_new = uncertain::PerturbDataset(exact_new, spec, 2);
+
+  EngineContext engines{EngineContextOptions{}};
+  ASSERT_TRUE(engines.AddResident("r", pdf_old, std::nullopt, 2, 0.4).ok());
+  ASSERT_TRUE(engines.ActivateResident("r").ok());
+  ResidentAnswers(engines, "r", 0);
+
+  for (int round = 0; round < 3; ++round) {
+    const auto& pdf = round % 2 == 0 ? pdf_new : pdf_old;
+    ASSERT_TRUE(engines.DropResident("r").ok());
+    EXPECT_EQ(engines.ResidentObserved("r"), nullptr);
+    ASSERT_TRUE(engines.AddResident("r", pdf, std::nullopt, 2, 0.4).ok());
+    ASSERT_TRUE(engines.ActivateResident("r").ok());
+    for (std::size_t q = 0; q < 3; ++q) {
+      ExpectSameAnswers(ResidentAnswers(engines, "r", q),
+                        FreshAnswers(pdf, 2, 0.4, q));
+    }
+  }
+}
+
+TEST(EngineContextTest, EnginesOutliveDropAndReplaceOfTheirRecord) {
+  // (e) Engines handed out before a drop or a replacing add keep borrowing
+  // the record they were built on; the context keeps it alive until it
+  // drops those engines (checked for use-after-free under ASan).
+  const ts::Dataset exact_old = MakeExact(11, 9, 81);
+  const ts::Dataset exact_new = MakeExact(11, 9, 82);
+  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.4);
+
+  EngineContext engines{EngineContextOptions{}};
+  ASSERT_TRUE(engines
+                  .AddResident("r", uncertain::PerturbDataset(exact_old, spec, 6),
+                               std::nullopt, 6, 0.4)
+                  .ok());
+  ASSERT_TRUE(engines.ActivateResident("r").ok());
+  const DistanceMatrixEngine& certain =
+      engines.Certain(*engines.ResidentObserved("r"));
+  UncertainEngine* dust = engines.AcquireDust(measures::DustOptions{});
+  ASSERT_NE(dust, nullptr);
+  const auto euclid_before = certain.KNearestEuclidean(1, 4);
+  const auto dust_before = dust->KNearestDust(1, 4).ValueOrDie();
+
+  ASSERT_TRUE(engines.DropResident("r").ok());
+  ExpectSameNeighbors(certain.KNearestEuclidean(1, 4), euclid_before);
+  ExpectSameNeighbors(dust->KNearestDust(1, 4).ValueOrDie(), dust_before);
+  EXPECT_EQ(certain.dataset().size(), 11u);
+
+  // Replacing under the same name (not yet activated) leaves them alone too.
+  ASSERT_TRUE(engines
+                  .AddResident("r", uncertain::PerturbDataset(exact_new, spec, 6),
+                               std::nullopt, 6, 0.4)
+                  .ok());
+  ASSERT_TRUE(engines
+                  .AddResident("r", uncertain::PerturbDataset(exact_old, spec, 8),
+                               std::nullopt, 8, 0.4)
+                  .ok());
+  ExpectSameNeighbors(certain.KNearestEuclidean(1, 4), euclid_before);
+  ExpectSameNeighbors(dust->KNearestDust(1, 4).ValueOrDie(), dust_before);
+  EXPECT_EQ(engines.pdf()->size(), 11u);
+  EXPECT_EQ(engines.AcquireDust(measures::DustOptions{}), dust);
+
+  // The certain engine holds its record on its own: once a direct bind has
+  // displaced the resident and its entry is replaced, nothing else does.
+  ASSERT_TRUE(engines.ActivateResident("r").ok());
+  const DistanceMatrixEngine& certain_r =
+      engines.Certain(*engines.ResidentObserved("r"));
+  const auto euclid_r = certain_r.KNearestEuclidean(2, 4);
+  ASSERT_TRUE(engines
+                  .BindData(uncertain::PerturbDataset(exact_new, spec, 9),
+                            std::nullopt, 9, 0.4)
+                  .ok());
+  ASSERT_TRUE(engines.DropResident("r").ok());
+  ExpectSameNeighbors(certain_r.KNearestEuclidean(2, 4), euclid_r);
+  EXPECT_EQ(certain_r.dataset().size(), 11u);
+  EXPECT_EQ(certain_r.dataset()[0].values().size(), 9u);
 }
 
 TEST(EngineContextTest, SessionAttachReplaysOnlyFramesPastPartialAck) {

@@ -13,6 +13,11 @@
 //    configured retry hint, never a block or a crash, and a later retry
 //    succeeds;
 //  * multi-dataset residency through the wire (bind two, query both, list);
+//  * tenant alternation — one Service switching between two same-shaped
+//    datasets on every request answers bitwise like direct engine calls on
+//    the addressed tenant;
+//  * TCP latency — sequential round trips over TCP loopback never wait out
+//    a Nagle / delayed-ACK stall;
 //  * stalled-peer hardening — a client that stops reading its socket stalls
 //    a dispatcher for at most send_timeout_ms; responses buffer in the
 //    session backlog and replay on reconnect.
@@ -30,6 +35,7 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +45,8 @@
 #include "server/server.hpp"
 #include "server/session.hpp"
 #include "ts/dataset.hpp"
+#include "uncertain/error_spec.hpp"
+#include "uncertain/perturb.hpp"
 
 namespace uts::server {
 namespace {
@@ -518,6 +526,148 @@ TEST(ServerIntegration, MultiDatasetResidencyOverTheWire) {
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(client->last_error().code, WireError::kNotFound);
 
+  server->Stop();
+}
+
+TEST(ServerIntegration, AlternatingTenantsInOneServiceMatchDirectEngines) {
+  // One Service holding two same-shaped datasets, driven A/B/A/B: every
+  // answer must equal direct engine calls on that tenant's own data, so the
+  // O(1) activation path can never serve the other tenant's engines.
+  const ts::Dataset exact_a = MakeExact(10, 16, 11);
+  const ts::Dataset exact_b = MakeExact(10, 16, 12);
+  BindDatasetRequest bind_a = MakeBind("a", exact_a, 0);
+  BindDatasetRequest bind_b = MakeBind("b", exact_b, 0);
+  bind_b.seed = 4321;
+  constexpr std::uint32_t kK = 3;
+  constexpr double kEpsilon = 4.0;
+  constexpr double kTau = 0.3;
+
+  // Direct references: one context per tenant, bound to the same
+  // deterministic perturbation the Service performs.
+  struct Direct {
+    std::unique_ptr<query::EngineContext> context;
+    ts::Dataset observed{"direct"};
+    std::vector<std::vector<query::Neighbor>> euclid, dust;
+    std::vector<std::vector<std::size_t>> prq;
+  };
+  auto make_direct = [&](const ts::Dataset& exact,
+                         const BindDatasetRequest& bind) {
+    Direct d;
+    const auto spec =
+        uncertain::ErrorSpec::Constant(prob::ErrorKind::kNormal, bind.sigma);
+    auto pdf = uncertain::PerturbDataset(exact, spec, bind.seed);
+    for (const auto& series : pdf.series) d.observed.Add(series.AsTimeSeries());
+    d.context = std::make_unique<query::EngineContext>(
+        query::EngineContextOptions{});
+    EXPECT_TRUE(d.context
+                    ->BindData(std::move(pdf), std::nullopt, bind.seed,
+                               spec.RepresentativeSigma())
+                    .ok());
+    const auto& certain = d.context->Certain(d.observed);
+    query::UncertainEngine* dust =
+        d.context->AcquireDust(measures::DustOptions{});
+    query::UncertainEngine* proud =
+        d.context->AcquireProud(spec.RepresentativeSigma());
+    EXPECT_NE(dust, nullptr);
+    EXPECT_NE(proud, nullptr);
+    for (std::size_t q = 0; q < exact.size(); ++q) {
+      d.euclid.push_back(certain.KNearestEuclidean(q, kK));
+      d.dust.push_back(dust->KNearestDust(q, kK).ValueOrDie());
+      d.prq.push_back(proud->ProbabilisticRangeSearchProud(q, kEpsilon, kTau));
+    }
+    return d;
+  };
+  const Direct direct_a = make_direct(exact_a, bind_a);
+  const Direct direct_b = make_direct(exact_b, bind_b);
+
+  Service service(MakeServiceOptions(1));
+  ASSERT_TRUE(service.Bind(bind_a, 0).ok());
+  ASSERT_TRUE(service.Bind(bind_b, 0).ok());
+
+  QueryRequest query;
+  query.k = kK;
+  query.epsilon = kEpsilon;
+  query.tau = kTau;
+  auto check = [&](const std::string& tenant, std::uint32_t q) {
+    const Direct& want = tenant == "a" ? direct_a : direct_b;
+    query.dataset = tenant;
+    query.query = q;
+    query.measure = WireMeasure::kEuclid;
+    auto euclid = service.Knn(query, 0);
+    ASSERT_TRUE(euclid.ok()) << euclid.status().ToString();
+    ExpectSameNeighbors(euclid.ValueOrDie().neighbors, want.euclid[q]);
+    query.measure = WireMeasure::kDust;
+    auto dust = service.Knn(query, 0);
+    ASSERT_TRUE(dust.ok()) << dust.status().ToString();
+    ExpectSameNeighbors(dust.ValueOrDie().neighbors, want.dust[q]);
+    query.measure = WireMeasure::kProud;
+    auto prq = service.Prq(query, 0);
+    ASSERT_TRUE(prq.ok()) << prq.status().ToString();
+    const auto& got = prq.ValueOrDie().indices;
+    EXPECT_EQ(std::vector<std::size_t>(got.begin(), got.end()), want.prq[q]);
+  };
+
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint32_t q = 0; q < 4; ++q) {
+      check("a", q);
+      check("b", q);
+    }
+    // A KnnSweep is served as one Service::Knn per item, so a sweep over
+    // one tenant interleaved with single requests on the other alternates
+    // the binding on every item.
+    for (std::uint32_t q = 0; q < exact_a.size(); ++q) {
+      const std::string sweep = round % 2 == 0 ? "a" : "b";
+      const std::string other = round % 2 == 0 ? "b" : "a";
+      const Direct& want = sweep == "a" ? direct_a : direct_b;
+      query.dataset = sweep;
+      query.query = q;
+      query.measure = WireMeasure::kDust;
+      auto item = service.Knn(query, 0);
+      ASSERT_TRUE(item.ok()) << item.status().ToString();
+      ExpectSameNeighbors(item.ValueOrDie().neighbors, want.dust[q]);
+      check(other, q);
+    }
+  }
+}
+
+TEST(ServerIntegration, SequentialTcpRequestsDoNotStallOnNagle) {
+  // Each frame leaves in one send and both ends set TCP_NODELAY, so a
+  // request/response round trip over TCP loopback never waits out a
+  // delayed ACK (~40 ms per stalled frame).
+  const ts::Dataset exact = MakeExact(8, 16, 5);
+  ServerOptions options;
+  options.tcp_port = 0;
+  options.service = MakeServiceOptions(1);
+  auto server_or = Server::Start(options);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  auto server = std::move(server_or).ValueOrDie();
+
+  Client::Options copts;
+  copts.port = server->tcp_port();
+  copts.token = 9;
+  auto client_or = Client::Connect(copts);
+  ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+  auto client = std::move(client_or).ValueOrDie();
+  ASSERT_TRUE(client->Bind(MakeBind("tcp", exact, 0)).ok());
+
+  QueryRequest query;
+  query.dataset = "tcp";
+  query.measure = WireMeasure::kEuclid;
+  query.k = 3;
+  ASSERT_TRUE(client->Knn(query).ok());  // Warm the shard's engine.
+
+  constexpr int kRequests = 20;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRequests; ++i) {
+    query.query = static_cast<std::uint32_t>(i % exact.size());
+    auto knn = client->Knn(query);
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+  }
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  // One stall per request would take kRequests x 40 ms; allow a quarter.
+  EXPECT_LT(elapsed.count(), kRequests * 40 / 4)
+      << "20 sequential TCP requests took " << elapsed.count() << " ms";
   server->Stop();
 }
 
