@@ -29,6 +29,16 @@ Status RequireBound(const EvalContext* ctx, const char* name) {
   return Status::OK();
 }
 
+/// The run's shared engine context when `context.pdf` is the dataset it
+/// binds (the runner's setup); null otherwise, so a matcher never reads an
+/// engine packed from other data.
+query::EngineContext* EnginesFor(const EvalContext& context) {
+  if (context.engines == nullptr || context.engines->pdf() != context.pdf) {
+    return nullptr;
+  }
+  return context.engines;
+}
+
 Status RequireSamples(const EvalContext& context) {
   if (context.samples == nullptr) {
     return Status::InvalidArgument(
@@ -54,14 +64,20 @@ std::uint64_t PairSeed(const EvalContext& context, std::size_t qi,
 Status EuclideanMatcher::Bind(const EvalContext& context) {
   UTS_RETURN_NOT_OK(RequirePdf(context));
   ctx_ = &context;
+  // Borrow the run's shared engine; declined only for data that is not
+  // engine-shaped, which keeps the scalar path below.
+  query::EngineContext* engines = EnginesFor(context);
+  engine_ = engines != nullptr ? engines->AcquireEuclidean() : nullptr;
   return Status::OK();
 }
 
 Result<double> EuclideanMatcher::CalibrationDistance(std::size_t qi,
                                                      std::size_t ci) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "Euclidean"));
-  return distance::Euclidean((*ctx_->pdf)[qi].observations(),
-                             (*ctx_->pdf)[ci].observations());
+  const std::vector<double>& q = (*ctx_->pdf)[qi].observations();
+  const std::vector<double>& c = (*ctx_->pdf)[ci].observations();
+  if (engine_ != nullptr) return engine_->EuclideanDistance(q, c);
+  return distance::Euclidean(q, c);
 }
 
 Result<bool> EuclideanMatcher::Matches(std::size_t qi, std::size_t ci,
@@ -69,6 +85,16 @@ Result<bool> EuclideanMatcher::Matches(std::size_t qi, std::size_t ci,
   auto d = CalibrationDistance(qi, ci);
   if (!d.ok()) return d.status();
   return d.ValueOrDie() <= epsilon;
+}
+
+Result<std::vector<std::size_t>> EuclideanMatcher::Retrieve(std::size_t qi,
+                                                            std::size_t n,
+                                                            double epsilon) {
+  UTS_RETURN_NOT_OK(RequireBound(ctx_, "Euclidean"));
+  if (engine_ == nullptr || n != engine_->size()) {
+    return Matcher::Retrieve(qi, n, epsilon);
+  }
+  return engine_->RangeSearchEuclidean(qi, epsilon);
 }
 
 // -------------------------------------------------------------------- PROUD
@@ -83,9 +109,8 @@ Status ProudMatcher::Bind(const EvalContext& context) {
   // Borrow the run's shared engine; declined (e.g. a σ override differing
   // from the run-level σ, or a non-engine-shaped dataset) means the
   // sequential scalar path below — bit-identical either way.
-  engine_ = context.engines != nullptr
-                ? context.engines->AcquireProud(options.sigma)
-                : nullptr;
+  query::EngineContext* engines = EnginesFor(context);
+  engine_ = engines != nullptr ? engines->AcquireProud(options.sigma) : nullptr;
   return Status::OK();
 }
 
@@ -189,9 +214,8 @@ Status DustMatcher::Bind(const EvalContext& context) {
   // persistent cache, so re-binding across datasets under one error spec
   // reuses them instead of re-running the numeric integration, and they
   // are immutable afterwards — thread-shared by the parallel sweeps.
-  engine_ = context.engines != nullptr
-                ? context.engines->AcquireDust(dust_.options())
-                : nullptr;
+  query::EngineContext* engines = EnginesFor(context);
+  engine_ = engines != nullptr ? engines->AcquireDust(dust_.options()) : nullptr;
   if (engine_ != nullptr) return Status::OK();
   // Engine-less fallback (non-uniform lengths): prewarm the scalar cache.
   std::map<std::string, prob::ErrorDistributionPtr> distinct;
@@ -213,7 +237,10 @@ Status DustMatcher::Bind(const EvalContext& context) {
 Result<double> DustMatcher::CalibrationDistance(std::size_t qi,
                                                 std::size_t ci) {
   UTS_RETURN_NOT_OK(RequireBound(ctx_, "DUST"));
-  if (engine_ != nullptr) return engine_->DustDistance(qi, ci);
+  if (engine_ != nullptr) {
+    return engine_->DustDistance(qi, (*ctx_->pdf)[qi].observations(), ci,
+                                 (*ctx_->pdf)[ci].observations());
+  }
   return dust_.Distance((*ctx_->pdf)[qi], (*ctx_->pdf)[ci]);
 }
 
@@ -296,9 +323,9 @@ Status MunichMatcher::Bind(const EvalContext& context) {
   // Borrow the run's shared engine with the sample dataset attached;
   // declined (pdf/sample shape mismatch, conflicting estimator config of
   // an earlier MUNICH matcher) means the sequential path — bit-identical.
-  engine_ = context.engines != nullptr
-                ? context.engines->AcquireMunich(munich_.options())
-                : nullptr;
+  query::EngineContext* engines = EnginesFor(context);
+  engine_ = engines != nullptr ? engines->AcquireMunich(munich_.options())
+                               : nullptr;
   const std::uint64_t fingerprint = FingerprintSamples(context);
   if (fingerprint != bound_fingerprint_) {
     prob_cache_.clear();

@@ -37,15 +37,30 @@
 namespace uts::core {
 
 /// \brief Baseline: Euclidean distance on the raw observations.
+///
+/// On the run's shared UncertainEngine, calibration and retrieval both go
+/// through the engine's squared-Euclidean kernel: ε is that kernel's value
+/// for the calibrating pair, so the pair is always retrieved, at every SIMD
+/// level. Without an engine (no context, or data that is not engine-shaped)
+/// the scalar distance::Euclidean and the per-pair Matcher::Retrieve
+/// default serve instead; they equal the engine bitwise under the scalar
+/// kernel table.
 class EuclideanMatcher final : public Matcher {
  public:
   std::string name() const override { return "Euclidean"; }
   Status Bind(const EvalContext& context) override;
+  /// Computed on the in-memory pdf rows, so it never pins a paged block.
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;
+  /// Batched range sweep on the run's shared UncertainEngine.
+  Result<std::vector<std::size_t>> Retrieve(std::size_t qi, std::size_t n,
+                                            double epsilon) override;
 
  private:
+  /// Borrowed view of the context's shared engine (EvalContext::engines);
+  /// null = sequential scalar path. Re-acquired at every Bind.
+  query::UncertainEngine* engine_ = nullptr;
   const EvalContext* ctx_ = nullptr;
 };
 
@@ -124,6 +139,7 @@ class DustMatcher final : public Matcher {
 
   std::string name() const override { return "DUST"; }
   Status Bind(const EvalContext& context) override;
+  /// Computed on the in-memory pdf rows, so it never pins a paged block.
   Result<double> CalibrationDistance(std::size_t qi, std::size_t ci) override;
   Result<bool> Matches(std::size_t qi, std::size_t ci,
                        double epsilon) override;

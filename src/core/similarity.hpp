@@ -98,9 +98,13 @@ class Matcher {
   /// Retrieve every matching candidate of query `qi` among indices [0, n)
   /// (self excluded, ascending) under threshold `epsilon` — the retrieval
   /// step of the evaluation loop. The default is the sequential reference:
-  /// one `Matches` call per candidate. Engine-aware matchers (DUST, PROUD,
-  /// MUNICH) override it with parallel batched sweeps whose results are
-  /// bit-identical to the default at every `EvalContext::threads` setting.
+  /// one `Matches` call per candidate. Engine-aware matchers (Euclidean,
+  /// DUST, PROUD, MUNICH) override it with parallel batched sweeps on the
+  /// run's shared query::UncertainEngine whose results are bit-identical to
+  /// the default at every `EvalContext::threads` setting. For Euclidean
+  /// this holds under the scalar kernel table; under SIMD kernels its
+  /// `CalibrationDistance` and `Matches` use the same kernel as the sweep,
+  /// so the three always agree with each other.
   virtual Result<std::vector<std::size_t>> Retrieve(std::size_t qi,
                                                     std::size_t n,
                                                     double epsilon);

@@ -337,6 +337,16 @@ UncertainEngine* EngineContext::EnsureUncertain() {
   return uncertain_.get();
 }
 
+UncertainEngine* EngineContext::AcquireEuclidean() {
+  UncertainEngine* engine = EnsureUncertain();
+  if (engine == nullptr) {
+    ++stats_.acquires_declined;
+    return nullptr;
+  }
+  ++stats_.acquires_served;
+  return engine;
+}
+
 UncertainEngine* EngineContext::AcquireDust(
     const measures::DustOptions& dust) {
   UncertainEngine* engine = EnsureUncertain();

@@ -94,13 +94,14 @@ struct EngineContextOptions : ExecOptions {
 /// thread pool, the perturbed datasets, the packed engines and their lazy
 /// measure-specific caches.
 ///
-/// Matchers acquire borrowed engine views at Bind time (`AcquireDust`,
-/// `AcquireProud`, `AcquireMunich`); an acquisition returns null when the
-/// bound dataset is not engine-shaped or the requested measure
-/// configuration is incompatible with what the shared engine was already
-/// given — callers then keep their sequential scalar path, which is
-/// bit-identical anyway. Views are invalidated by the next `BindData` that
-/// actually replaces the data; matchers must re-acquire at every Bind.
+/// Matchers acquire borrowed engine views at Bind time (`AcquireEuclidean`,
+/// `AcquireDust`, `AcquireProud`, `AcquireMunich`); an acquisition returns
+/// null when the bound dataset is not engine-shaped or the requested
+/// measure configuration is incompatible with what the shared engine was
+/// already given — callers then keep their sequential scalar path, which
+/// is bit-identical to the engine under the scalar kernel table. Views are
+/// invalidated by the next `BindData` that actually replaces the data;
+/// matchers must re-acquire at every Bind.
 class EngineContext {
  public:
   /// Resource-lifecycle counters, asserted by the context tests and useful
@@ -258,12 +259,16 @@ class EngineContext {
   /// \}
 
   /// \name Uncertain engine acquisition (one per run, lazily built)
-  /// All three return the same underlying engine — plus its
+  /// All four return the same underlying engine — plus its
   /// measure-specific state built on first use — or null when the bound
   /// dataset is not engine-shaped (empty / non-uniform lengths) or the
   /// requested configuration conflicts with state already built for an
   /// earlier matcher of the run.
   /// \{
+
+  /// Euclidean on the observations: the engine alone, no measure state.
+  /// Declined only when the bound dataset is not engine-shaped.
+  UncertainEngine* AcquireEuclidean();
 
   /// DUST: engine + lookup tables for every distinct error-class pair.
   /// Tables are built through the context's persistent `measures::Dust`

@@ -279,15 +279,69 @@ Result<double> UncertainEngine::DustDistance(std::size_t query,
   const ts::StoreView view(store_);
   const auto query_pin = ts::PinRowOrAbort(view, query);
   const auto cand_pin = ts::PinRowOrAbort(view, candidate);
-  const std::span<const double> q = query_pin.row();
-  const std::span<const double> c = cand_pin.row();
+  return DustDistance(query, query_pin.row(), candidate, cand_pin.row());
+}
+
+Result<double> UncertainEngine::DustDistance(
+    std::size_t query, std::span<const double> query_row,
+    std::size_t candidate, std::span<const double> candidate_row) const {
+  assert(query < size() && candidate < size());
+  assert(query_row.size() == length() && candidate_row.size() == length());
+  if (!dust_ready_) {
+    return Status::InvalidArgument(
+        "DUST tables not built; call BuildDustTables first");
+  }
   double sum = 0.0;
-  for (std::size_t t = 0; t < q.size(); ++t) {
-    const double d =
-        PairLut(class_id(query, t), class_id(candidate, t)).Eval(q[t] - c[t]);
+  for (std::size_t t = 0; t < query_row.size(); ++t) {
+    const double d = PairLut(class_id(query, t), class_id(candidate, t))
+                         .Eval(query_row[t] - candidate_row[t]);
     sum += d * d;
   }
   return std::sqrt(sum);
+}
+
+// --- Euclidean ---------------------------------------------------------------
+
+double UncertainEngine::EuclideanDistance(
+    std::span<const double> query_row,
+    std::span<const double> candidate_row) const {
+  assert(query_row.size() == length() && candidate_row.size() == length());
+  double sq = 0.0;
+  dispatch_->squared_euclidean_range(
+      query_row, ts::RowBlock(candidate_row.data(), candidate_row.size(), 1),
+      0, 1, std::span<double>(&sq, 1));
+  return std::sqrt(sq);
+}
+
+std::vector<std::size_t> UncertainEngine::RangeSearchEuclidean(
+    std::size_t query, double epsilon) const {
+  assert(query < size());
+  std::vector<double> sq(size(), 0.0);
+  const ts::StoreView view(store_);
+  const auto query_pin = ts::PinRowOrAbort(view, query);
+  const std::span<const double> qrow = query_pin.row();
+  const auto chunks = ts::PartitionRows(view, options_.grain);
+  exec::ParallelFor(
+      pool_, chunks.size(), /*grain=*/1,
+      [&](std::size_t chunk_begin, std::size_t chunk_end) {
+        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
+          const ts::RowChunk& chunk = chunks[c];
+          const auto pin = ts::PinOrAbort(view, chunk.block);
+          dispatch_->squared_euclidean_range(
+              qrow, pin.block(), chunk.begin - pin.first_row(),
+              chunk.end - pin.first_row(),
+              std::span<double>(sq).subspan(chunk.begin,
+                                            chunk.end - chunk.begin));
+        }
+      });
+  // The sqrt of the kernel value, exactly as EuclideanDistance computes it:
+  // a threshold calibrated on one pair always retrieves that pair.
+  std::vector<std::size_t> matches;
+  for (std::size_t i = 0; i < sq.size(); ++i) {
+    if (i == query) continue;
+    if (std::sqrt(sq[i]) <= epsilon) matches.push_back(i);
+  }
+  return matches;
 }
 
 namespace {

@@ -28,6 +28,9 @@
 ///    pair (q, c) is seeded by the pure function
 ///    `DeriveSeed(seed, q·n + c + 0x9a1)` of the pair counter alone, so
 ///    parallel and sequential runs draw identical materializations.
+///  * **Euclidean** — nothing: the paper's certain baseline on the
+///    observations streams the same store through the squared-Euclidean
+///    kernel, so the protocol's four matchers share one pack.
 ///
 /// Determinism guarantee: results are bit-identical to the scalar measure
 /// APIs (measures::Dust::Distance, measures::Proud::Matches,
@@ -40,7 +43,9 @@
 /// measures themselves evaluate through the very code the kernels use
 /// (DustTable::Dust == DustLut::Eval; Proud decisions go through
 /// Proud::DecideFromStats; MUNICH bounds go through
-/// Munich::EuclideanBoundsFromIntervals).
+/// Munich::EuclideanBoundsFromIntervals). The Euclidean range search equals
+/// distance::Euclidean bitwise under the scalar kernel table; under SIMD
+/// kernels, thresholds taken from `EuclideanDistance` share its kernel.
 
 #ifndef UTS_QUERY_UNCERTAIN_ENGINE_HPP_
 #define UTS_QUERY_UNCERTAIN_ENGINE_HPP_
@@ -70,9 +75,10 @@ namespace uts::query {
 /// shared execution fields (`threads`, `simd`, `shared_pool`, `index`,
 /// `buffer_pool`, `block_rows`) live in the inherited query::ExecOptions —
 /// their names and meanings are unchanged. Engine-specific notes: DUST
-/// results are bitwise identical at every SIMD level, PROUD sweeps are
-/// within the pinned tolerance of distance/simd.hpp, MUNICH never touches
-/// the dispatch; the index cascade routes only the DUST k-NN / range paths
+/// results are bitwise identical at every SIMD level, PROUD sweeps and
+/// Euclidean distances are within the pinned tolerance of
+/// distance/simd.hpp, MUNICH never touches the dispatch; the index cascade
+/// routes only the DUST k-NN / range paths
 /// (PROUD/MUNICH match probabilities are not provably monotone in the
 /// observation distance).
 struct UncertainEngineOptions : ExecOptions {
@@ -179,8 +185,18 @@ class UncertainEngine {
   /// Dense DUST(query, ·) sweep over every series (self slot included).
   Result<std::vector<double>> DustDistances(std::size_t query) const;
 
-  /// DUST distance of one pair, through the same tables/kernels.
+  /// DUST distance of one pair, through the same tables/kernels. Pins both
+  /// rows; delegates to the row-taking form below.
   Result<double> DustDistance(std::size_t query, std::size_t candidate) const;
+
+  /// DUST distance of one pair from caller-held copies of its observation
+  /// rows (`query_row`/`candidate_row` must equal rows `query`/`candidate`
+  /// of the packed data), with the engine's class ids and tables. Pins
+  /// nothing, so a calibration call never faults a paged block.
+  Result<double> DustDistance(std::size_t query,
+                              std::span<const double> query_row,
+                              std::size_t candidate,
+                              std::span<const double> candidate_row) const;
 
   /// k nearest neighbors under DUST, self excluded; ascending distance,
   /// ties by index (the legacy comparator). `cost`, when non-null, is
@@ -195,6 +211,24 @@ class UncertainEngine {
   Result<std::vector<std::size_t>> RangeSearchDust(
       std::size_t query, double epsilon,
       index::SearchCost* cost = nullptr) const;
+  /// \}
+
+  /// \name Euclidean on the observations (the paper's certain baseline)
+  /// \{
+
+  /// Euclidean distance of two observation rows through the kernel
+  /// RangeSearchEuclidean runs, on a one-row block. That kernel's result
+  /// depends only on the values and the length, never on where the rows
+  /// live, so this is bitwise the value the range search compares for that
+  /// pair. Pins nothing.
+  double EuclideanDistance(std::span<const double> query_row,
+                           std::span<const double> candidate_row) const;
+
+  /// RQ(Q, C, ε) under Euclidean distance on the observations: indices
+  /// with distance <= epsilon, self excluded, ascending. One batched sweep
+  /// of the squared-Euclidean dispatch kernel over the packed store.
+  std::vector<std::size_t> RangeSearchEuclidean(std::size_t query,
+                                                double epsilon) const;
   /// \}
 
   /// \name PROUD (paper-faithful constant-σ model)

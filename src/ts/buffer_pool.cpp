@@ -22,7 +22,7 @@ Result<std::shared_ptr<BufferPool>> BufferPool::Create(Options options) {
       new BufferPool(std::move(options), std::move(log)));
 }
 
-Status BufferPool::Admit(Page* page, std::vector<double> data) {
+Status BufferPool::Admit(Page* page, Payload data) {
   assert(page != nullptr);
   std::lock_guard<std::mutex> guard(mutex_);
   assert(page->doubles == 0 && page->data.empty());
@@ -47,8 +47,10 @@ Result<const double*> BufferPool::Pin(Page* page) {
   stats_.pins += 1;
   if (page->data.empty() && page->doubles > 0) {
     // Fault: restore the exact bytes written at admission. The read happens
-    // under the pool mutex — see the thread-safety note in the header.
-    std::vector<double> data(page->doubles);
+    // under the pool mutex — see the thread-safety note in the header. The
+    // buffer starts uninitialised: the read overwrites all of it, and a
+    // short read returns before the buffer is installed.
+    Payload data(page->doubles);
     UTS_RETURN_NOT_OK(
         log_.ReadAt(page->log_offset, data.data(), data.size() * sizeof(double)));
     page->data = std::move(data);

@@ -41,13 +41,38 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
 #include "ts/block_log.hpp"
 
 namespace uts::ts {
+
+/// \brief std::allocator whose value-less construct default-initializes, so
+/// a vector of doubles sized with it is left uninitialised. A fault buffer
+/// is overwritten by the spill read in full; zero-filling it first would
+/// write every byte twice.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// \brief Shared block cache: pages are owned by their stores and
 /// registered here; the pool owns the budget, the clock and the spill log.
@@ -63,6 +88,9 @@ class BufferPool {
     /// is unlinked at creation, so nothing survives the pool.
     std::string spill_dir;
   };
+
+  /// \brief A block's payload; sizing one leaves it uninitialised.
+  using Payload = std::vector<double, DefaultInitAllocator<double>>;
 
   /// \brief Lifecycle counters; snapshot via stats().
   struct Stats {
@@ -85,7 +113,7 @@ class BufferPool {
 
    private:
     friend class BufferPool;
-    std::vector<double> data;       ///< Resident copy; empty when evicted.
+    Payload data;                   ///< Resident copy; empty when evicted.
     std::size_t doubles = 0;        ///< Payload element count.
     std::uint64_t log_offset = 0;   ///< Address in the spill log.
     std::uint32_t pin_count = 0;    ///< Outstanding pins.
@@ -102,7 +130,7 @@ class BufferPool {
   /// Register `page` with `data` as its immutable payload: the bytes are
   /// appended to the spill log now (so eviction is a pure drop), the copy
   /// stays resident, and unpinned pages are evicted down to the budget.
-  Status Admit(Page* page, std::vector<double> data);
+  Status Admit(Page* page, Payload data);
 
   /// Pin the page resident and return its base pointer, faulting the
   /// payload back from the spill log when evicted. Always succeeds while

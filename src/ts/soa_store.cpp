@@ -46,7 +46,7 @@ Result<SoaStore> SoaStore::FromPacked(std::vector<double> values,
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t first = store.block_first_row(b);
     const std::size_t count = store.block_row_count(b);
-    std::vector<double> payload(
+    BufferPool::Payload payload(
         values.begin() + static_cast<std::ptrdiff_t>(first * stride),
         values.begin() + static_cast<std::ptrdiff_t>((first + count) * stride));
     auto page = std::make_unique<BufferPool::Page>();
@@ -81,7 +81,7 @@ Result<SoaStore> SoaStore::FromRows(std::size_t rows, std::size_t stride,
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t first = store.block_first_row(b);
     const std::size_t count = store.block_row_count(b);
-    std::vector<double> payload(count * stride);
+    BufferPool::Payload payload(count * stride);  // every row is filled
     for (std::size_t r = 0; r < count; ++r) {
       fill(first + r, std::span<double>(payload.data() + r * stride, stride));
     }

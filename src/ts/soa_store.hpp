@@ -45,7 +45,8 @@ namespace uts::ts {
 class SoaStore {
  public:
   /// Fills row `row` of a store under construction into `out`
-  /// (`out.size() == stride()`); called in ascending row order.
+  /// (`out.size() == stride()`); called in ascending row order. Must write
+  /// every element: paged block buffers start uninitialised.
   using RowFn = std::function<void(std::size_t row, std::span<double> out)>;
 
   SoaStore() = default;

@@ -122,6 +122,29 @@ TEST(EngineContextTest, OnePoolOnePackPerMultiMatcherEvaluation) {
   EXPECT_EQ(engines.stats().acquires_declined, 0u);
 }
 
+TEST(EngineContextTest, EuclideanDustProudRunPacksOnce) {
+  // The paper protocol's certain baseline rides the same engine as the
+  // uncertain measures: Euclidean + DUST + PROUD over one run is one pack,
+  // three served acquisitions.
+  const ts::Dataset exact = MakeExact(24, 8, 9);
+  const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
+  EngineContextOptions context_options;
+  context_options.threads = 2;
+  EngineContext engines(context_options);
+  core::EuclideanMatcher euclid;
+  core::DustMatcher dust;
+  core::ProudMatcher proud(0.5);
+  std::vector<core::Matcher*> matchers = {&euclid, &dust, &proud};
+  core::RunOptions options = QuickRunOptions(2);
+  options.munich_samples_per_point = 0;
+  options.engine_context = &engines;
+  auto run = core::RunSimilarityMatching(exact, spec, matchers, options);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(engines.stats().pdf_packs, 1u);
+  EXPECT_EQ(engines.stats().acquires_served, 3u);
+  EXPECT_EQ(engines.stats().acquires_declined, 0u);
+}
+
 TEST(EngineContextTest, SequentialEvaluationCreatesNoPool) {
   const ts::Dataset exact = MakeExact(20, 6, 6);
   const auto spec = uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.4);

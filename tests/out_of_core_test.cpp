@@ -13,8 +13,10 @@
 #include <cstddef>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
+#include "core/matchers.hpp"
 #include "prob/rng.hpp"
 #include "query/engine.hpp"
 #include "query/engine_context.hpp"
@@ -398,6 +400,47 @@ TEST(OutOfCoreContextTest, MemoryBudgetCreatesOnePoolAndKeepsResultsExact) {
   const query::DistanceMatrixEngine& certain = context.Certain(d);
   ExpectSameNeighbors(expected, certain.KNearestEuclidean(0, 10));
   EXPECT_GT(pool->stats().admits, 0u);
+}
+
+TEST(OutOfCoreContextTest, CalibrationNeverPinsPagedBlocks) {
+  // The protocol calibrates ε once per query and matcher. On a paged store
+  // that must not pin (and so fault and evict) a block: Euclidean and DUST
+  // calibration read the in-memory pdf rows, so 100 calls leave the pool's
+  // pin and fault counters where they were.
+  const auto pdf = GaussianUncertain(kSeries, kLength, 33,
+                                     prob::ErrorKind::kNormal, 0.5);
+  query::EngineContextOptions options;
+  options.threads = 2;
+  options.memory_budget_bytes = kBlockBytes;  // smaller than the store
+  options.block_rows = kBlockRows;
+  query::EngineContext context(options);
+  ASSERT_TRUE(context.BindData(pdf, std::nullopt, 5, 0.5).ok());
+  core::EvalContext eval;
+  eval.pdf = context.pdf();
+  eval.threads = context.threads();
+  eval.engines = &context;
+  core::EuclideanMatcher euclid;
+  core::DustMatcher dust;
+  ASSERT_TRUE(euclid.Bind(eval).ok());
+  ASSERT_TRUE(dust.Bind(eval).ok());
+  ASSERT_EQ(context.stats().acquires_served, 2u);
+  auto pool = context.buffer_pool();
+  ASSERT_NE(pool, nullptr);
+  // A retrieval does pin and fault: the counters below are live.
+  ASSERT_TRUE(euclid.Retrieve(0, kSeries, 1.0).ok());
+  const auto before = pool->stats();
+  EXPECT_GT(before.faults, 0u);
+
+  for (std::size_t call = 0; call < 100; ++call) {
+    const std::size_t qi = (call * 7) % kSeries;
+    const std::size_t ci = (call * 13 + 1) % kSeries;
+    core::Matcher& matcher = call % 2 == 0 ? static_cast<core::Matcher&>(euclid)
+                                           : static_cast<core::Matcher&>(dust);
+    ASSERT_TRUE(matcher.CalibrationDistance(qi, ci).ok());
+  }
+  const auto after = pool->stats();
+  EXPECT_EQ(after.faults, before.faults);
+  EXPECT_EQ(after.pins, before.pins);
 }
 
 }  // namespace

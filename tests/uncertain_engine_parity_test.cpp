@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -18,7 +19,10 @@
 #include "measures/munich.hpp"
 #include "measures/proud.hpp"
 #include "prob/rng.hpp"
+#include "query/engine_context.hpp"
 #include "query/uncertain_engine.hpp"
+#include "ts/soa_store.hpp"
+#include "ts/store_view.hpp"
 #include "uncertain/error_spec.hpp"
 #include "uncertain/perturb.hpp"
 
@@ -516,7 +520,7 @@ TEST(UncertainEngineParityTest, MunichDegenerateSamplesDecideByBounds) {
   }
 }
 
-// --- End-to-end: the evaluation runner with all three matchers --------------
+// --- End-to-end: the evaluation runner with the protocol's matchers ---------
 
 TEST(UncertainEngineParityTest, SimilarityMatchingThreadCountInvariant) {
   prob::Rng rng(61);
@@ -531,12 +535,13 @@ TEST(UncertainEngineParityTest, SimilarityMatchingThreadCountInvariant) {
       uncertain::ErrorSpec::Constant(ErrorKind::kNormal, 0.5);
 
   auto run_with = [&](std::size_t threads) {
+    core::EuclideanMatcher euclid;
     core::ProudMatcher proud(0.5);
     core::DustMatcher dust;
     measures::MunichOptions mopts;
     mopts.mc_samples = 400;
     core::MunichMatcher munich(mopts);
-    core::Matcher* matchers[] = {&proud, &dust, &munich};
+    core::Matcher* matchers[] = {&euclid, &proud, &dust, &munich};
     core::RunOptions options;
     options.ground_truth_k = 4;
     options.max_queries = 8;
@@ -560,6 +565,164 @@ TEST(UncertainEngineParityTest, SimilarityMatchingThreadCountInvariant) {
           << reference[m].name;
       EXPECT_EQ(got[m].per_query_recall, reference[m].per_query_recall)
           << reference[m].name;
+    }
+  }
+}
+
+// --- Euclidean on the shared engine -----------------------------------------
+
+/// An EvalContext over the data `engines` binds; `use_engines` false gives
+/// the engine-less default path over the very same rows. Matchers borrow
+/// the context, so keep it alive while they are used.
+core::EvalContext EvalOver(EngineContext& engines, bool use_engines) {
+  core::EvalContext eval;
+  eval.pdf = engines.pdf();
+  eval.threads = engines.threads();
+  eval.engines = use_engines ? &engines : nullptr;
+  return eval;
+}
+
+TEST(UncertainEngineParityTest, EuclideanRetrieveEqualsScalarDefaultBitwise) {
+  // Under the scalar kernel table, the engine-backed matcher (batched
+  // squared-Euclidean sweep, kernel calibration) must equal the engine-less
+  // default (distance::Euclidean + one Matches call per candidate) bit for
+  // bit: calibration values and retrieved sets, at 1/2/8 threads, over a
+  // resident store and over one paged through a budget smaller than it.
+  auto normal = prob::MakeNormalError(0.5);
+  const auto error_of = [&](std::size_t, std::size_t) { return normal; };
+  const std::vector<uncertain::UncertainDataset> datasets = {
+      GaussianUncertain(36, 13, 41, error_of),
+      TieHeavyUncertain(32, 8, 42, error_of)};
+  for (const auto& data : datasets) {
+    for (std::size_t threads : kThreadCounts) {
+      for (bool paged : {false, true}) {
+        EngineContextOptions options;
+        options.threads = threads;
+        options.simd = distance::SimdMode::kForceScalar;
+        options.uncertain_grain = 4;
+        if (paged) {
+          options.block_rows = 8;
+          options.memory_budget_bytes =
+              8 * data[0].size() * sizeof(double);  // one block of several
+        }
+        EngineContext engines(options);
+        ASSERT_TRUE(engines.BindData(data, std::nullopt, 5, 0.5).ok());
+        const core::EvalContext with = EvalOver(engines, true);
+        const core::EvalContext without = EvalOver(engines, false);
+        core::EuclideanMatcher engine_backed, reference;
+        ASSERT_TRUE(engine_backed.Bind(with).ok());
+        ASSERT_TRUE(reference.Bind(without).ok());
+        EXPECT_EQ(engines.stats().acquires_served, 1u);
+
+        const std::size_t n = data.size();
+        for (std::size_t qi = 0; qi < n; ++qi) {
+          for (std::size_t ci = 0; ci < n; ci += 3) {
+            const double eps = engine_backed.CalibrationDistance(qi, ci)
+                                   .ValueOrDie();
+            ASSERT_EQ(eps, reference.CalibrationDistance(qi, ci).ValueOrDie())
+                << data.name << " q=" << qi << " c=" << ci;
+            ASSERT_EQ(engine_backed.Retrieve(qi, n, eps).ValueOrDie(),
+                      reference.Retrieve(qi, n, eps).ValueOrDie())
+                << data.name << " q=" << qi << " c=" << ci
+                << " threads=" << threads << " paged=" << paged;
+          }
+        }
+        if (paged) {
+          ASSERT_NE(engines.buffer_pool(), nullptr);
+          EXPECT_GT(engines.buffer_pool()->stats().faults, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(UncertainEngineParityTest, EuclideanCalibratingNeighbourIsRetrieved) {
+  // Under the native kernel table (AVX2 where available): ε calibrated on
+  // pair (q, c) is that kernel's value for the pair, so c is always
+  // retrieved, and the value equals the kernel run on the packed row.
+  // Lengths straddle the kernel's 4- and 16-wide loop tails.
+  auto normal = prob::MakeNormalError(0.3);
+  const auto error_of = [&](std::size_t, std::size_t) { return normal; };
+  const distance::KernelDispatch& native =
+      distance::ResolveDispatch(distance::SimdMode::kAuto);
+  for (std::size_t len : {std::size_t{7}, std::size_t{16}, std::size_t{37}}) {
+    const uncertain::UncertainDataset data =
+        GaussianUncertain(28, len, 50 + len, error_of);
+    const std::size_t n = data.size();
+    EngineContextOptions options;
+    options.threads = 2;
+    options.uncertain_grain = 4;
+    EngineContext engines(options);
+    ASSERT_TRUE(engines.BindData(data, std::nullopt, 5, 0.3).ok());
+    const core::EvalContext eval = EvalOver(engines, true);
+    core::EuclideanMatcher euclid;
+    ASSERT_TRUE(euclid.Bind(eval).ok());
+
+    std::vector<double> packed;
+    for (const auto& series : data.series) {
+      packed.insert(packed.end(), series.observations().begin(),
+                    series.observations().end());
+    }
+    const ts::SoaStore store =
+        ts::SoaStore::FromPacked(std::move(packed), len).ValueOrDie();
+    const ts::StoreView view(store);
+    const auto all = ts::PinOrAbort(view, 0);
+    std::vector<double> sq(n);
+    for (std::size_t qi = 0; qi < n; ++qi) {
+      native.squared_euclidean_range(data[qi].observations(), all.block(), 0,
+                                     n, sq);
+      for (std::size_t ci = 0; ci < n; ++ci) {
+        if (ci == qi) continue;
+        const double eps = euclid.CalibrationDistance(qi, ci).ValueOrDie();
+        ASSERT_EQ(eps, std::sqrt(sq[ci])) << "len=" << len << " q=" << qi
+                                          << " c=" << ci;
+        const auto retrieved = euclid.Retrieve(qi, n, eps).ValueOrDie();
+        ASSERT_TRUE(std::binary_search(retrieved.begin(), retrieved.end(), ci))
+            << "len=" << len << " q=" << qi << " c=" << ci;
+      }
+    }
+  }
+}
+
+TEST(UncertainEngineParityTest, DustCalibrationFromRowsEqualsPinnedBitwise) {
+  // The row-taking DustDistance (what DustMatcher calibrates with, on the
+  // in-memory pdf rows) is bitwise the pinned-row form over a paged store,
+  // for one-class, classed mixed-σ and table-lookup data.
+  for (DustCase& c : DustCases()) {
+    UncertainEngineOptions options = SmallChunkOptions(2);
+    ts::BufferPool::Options pool_options;
+    pool_options.budget_bytes = 0;  // every pinned-row call faults
+    options.buffer_pool = ts::BufferPool::Create(pool_options).ValueOrDie();
+    options.block_rows = 8;
+    auto engine = UncertainEngine::Create(c.dataset, options).ValueOrDie();
+    ASSERT_TRUE(engine->BuildDustTables().ok());
+    const std::size_t n = c.dataset.size();
+    for (std::size_t q = 0; q < n; ++q) {
+      for (std::size_t k = 0; k < n; ++k) {
+        const double pinned = engine->DustDistance(q, k).ValueOrDie();
+        const double rows =
+            engine
+                ->DustDistance(q, c.dataset[q].observations(), k,
+                               c.dataset[k].observations())
+                .ValueOrDie();
+        ASSERT_EQ(pinned, rows) << c.name << " q=" << q << " c=" << k;
+      }
+    }
+    EXPECT_GT(options.buffer_pool->stats().faults, 0u);
+
+    // Through the matcher on a shared context: same values.
+    EngineContext engines;
+    ASSERT_TRUE(engines.BindData(c.dataset, std::nullopt, 5, 0.5).ok());
+    const core::EvalContext eval = EvalOver(engines, true);
+    core::DustMatcher dust;
+    ASSERT_TRUE(dust.Bind(eval).ok());
+    EXPECT_EQ(engines.stats().acquires_served, 1u);
+    for (std::size_t q = 0; q < n; q += 5) {
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(dust.CalibrationDistance(q, k).ValueOrDie(),
+                  engine->DustDistance(q, k).ValueOrDie())
+            << c.name << " q=" << q << " c=" << k;
+      }
     }
   }
 }
