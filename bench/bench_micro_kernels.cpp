@@ -490,16 +490,18 @@ void DustClosedFormKernel(benchmark::State& state,
   SetBandwidthCounters(state, 8.0 * static_cast<double>(n * len + n));
 }
 
+// Lengths 131 and 270 are the FaceAll and 50words series of offline-match;
+// the regression gate floors the AVX2/scalar ratio at 131 and 1024.
 void BM_DustKernelClosedForm_Scalar(benchmark::State& state) {
   DustClosedFormKernel(state, distance::ScalarDispatch());
 }
-BENCHMARK(BM_DustKernelClosedForm_Scalar)->Arg(1024);
+BENCHMARK(BM_DustKernelClosedForm_Scalar)->Arg(131)->Arg(270)->Arg(1024);
 
 void BM_DustKernelClosedForm_Avx2(benchmark::State& state) {
   if (!RequireAvx2(state)) return;
   DustClosedFormKernel(state, distance::Avx2Dispatch());
 }
-BENCHMARK(BM_DustKernelClosedForm_Avx2)->Arg(1024);
+BENCHMARK(BM_DustKernelClosedForm_Avx2)->Arg(131)->Arg(270)->Arg(1024);
 
 void DustLookupKernel(benchmark::State& state,
                       const distance::KernelDispatch& table) {

@@ -46,17 +46,24 @@
 ///
 /// *Bitwise kernels.* The DUST kernels feed parity tests that pin engine
 /// results bit-identical to the scalar measure (measures::Dust), so their
-/// AVX2 forms never reassociate the per-pair sum: each point's
-/// dust(Δ)² is computed elementwise in vector lanes — |Δ| (sign mask),
-/// the table position Δ/step (IEEE division), the two gathered cells and
-/// the lerp mul/add are all lane-exact matches of DustLut::Eval — and the
-/// per-pair accumulation then runs in the scalar's ascending-timestamp
-/// order over the lane results. SIMD buys the gather/interpolation
-/// arithmetic, not the sum. The classed kernel additionally splits each row
-/// into maximal constant-(lut) runs, so the per-series-constant error
-/// models of the paper's mixed experiments vectorize like the single-lut
-/// path while per-point-varying models degrade gracefully to scalar
-/// evaluation — bitwise either way.
+/// AVX2 forms never reassociate the per-pair sum. Each point's dust(Δ)² is
+/// computed elementwise in vector lanes — |Δ| (sign mask), the table
+/// position Δ/step (IEEE division), the two gathered cells and the lerp
+/// mul/add are all lane-exact matches of DustLut::Eval. The single-lut
+/// kernel then puts candidates in the lanes rather than timestamps: it
+/// evaluates four timestamps of four rows, transposes the 4×4 tile, and
+/// lane i adds row i's values in ascending-timestamp order. Every lane is
+/// the scalar reference's own chain 0.0 + d₀² + d₁² + … for one row, so
+/// the result is bitwise by construction, and four independent chains
+/// replace the one add-latency-bound chain of a row (the `len % 4` tail
+/// finishes per lane in the same order; ranges of fewer than four rows, as
+/// the index cascade scores them, keep the one-row paths). The classed
+/// kernel, whose error classes differ per candidate, keeps one row at a
+/// time: it splits the row into maximal constant-(lut) runs, evaluates
+/// runs in lanes and adds the staged values in order, so the
+/// per-series-constant error models of the paper's mixed experiments
+/// vectorize the evaluation while per-point-varying models degrade
+/// gracefully to scalar evaluation — bitwise either way.
 ///
 /// *Early abandon.* The scalar reference checks the running sum against the
 /// threshold after every element; the AVX2 kernel checks once per

@@ -9,8 +9,9 @@
 /// Numeric policy (documented in simd.hpp): the Euclidean and PROUD kernels
 /// split per-pair sums across lanes and contract into FMAs — pinned
 /// tolerance vs the scalar reference; the DUST kernels evaluate dust(Δ)²
-/// elementwise in lanes with exactly DustLut::Eval's operations and then
-/// accumulate in the scalar's ascending-timestamp order — bitwise.
+/// elementwise in lanes with exactly DustLut::Eval's operations and add
+/// each pair's values in the scalar's ascending-timestamp order — the
+/// single-lut kernel with one candidate row per lane — bitwise.
 
 #include "distance/simd.hpp"
 
@@ -224,115 +225,162 @@ void SquaredEuclideanEarlyAbandonRangeAvx2(std::span<const double> query,
 
 // --- DUST (bitwise) ----------------------------------------------------------
 
-/// Elements per evaluation chunk of the bitwise DUST kernels: lane results
-/// are staged into a stack buffer of this size, then accumulated in scalar
-/// ascending-timestamp order.
+/// Elements per evaluation chunk of the one-row DUST paths (classed runs,
+/// lookup remainder rows): lane results are staged into a stack buffer of
+/// this size, then accumulated in scalar ascending-timestamp order.
 constexpr std::size_t kDustChunk = 256;
 
-/// dust(Δ)² for `count` (<= kDustChunk) closed-form points into `d2`,
-/// lane-exact with DustLut::Eval: |Δ| via sign mask, then two IEEE
-/// multiplies — elementwise operations round identically in SIMD and
-/// scalar.
-inline void ClosedFormChunk(const double* q, const double* row,
-                            std::size_t count, double scale, double* d2) {
-  const __m256d vscale = _mm256_set1_pd(scale);
-  std::size_t t = 0;
-  for (; t + 4 <= count; t += 4) {
-    const __m256d delta =
-        Abs(_mm256_sub_pd(_mm256_loadu_pd(q + t), _mm256_loadu_pd(row + t)));
-    const __m256d d = _mm256_mul_pd(delta, vscale);
-    _mm256_storeu_pd(d2 + t, _mm256_mul_pd(d, d));
-  }
-  for (; t < count; ++t) {
-    const double d = std::fabs(q[t] - row[t]) * scale;
-    d2[t] = d * d;
-  }
-}
+/// dust(Δ)² of four closed-form points, lane-exact with DustLut::Eval: |Δ|
+/// via sign mask, then two IEEE multiplies — elementwise operations round
+/// identically in SIMD and scalar.
+class ClosedFormSquares {
+ public:
+  explicit ClosedFormSquares(const DustLut& lut)
+      : vscale_(_mm256_set1_pd(lut.scale)) {}
 
-/// dust(Δ)² for `count` (<= kDustChunk) table-lookup points into `d2`.
-/// Every lane operation mirrors DustLut::Eval exactly: |Δ|, the clamp at
-/// delta_max, pos = Δ/step (IEEE division), idx = floor(pos) (== the
-/// scalar's truncation for the non-negative pos), frac = pos − idx, two
-/// gathered cells and the lerp v0·(1−frac) + v1·frac with plain mul/add
-/// (no FMA — contraction would change the rounding) — so each lane result
-/// is bitwise the scalar Eval.
-inline void LutChunk(const double* q, const double* row, std::size_t count,
-                     const DustLut& lut, double* d2) {
-  const __m256d vstep = _mm256_set1_pd(lut.step);
-  const __m256d vmax = _mm256_set1_pd(lut.delta_max);
-  const __m256d vone = _mm256_set1_pd(1.0);
-  const __m256d vlast = _mm256_set1_pd(lut.values[lut.size - 1]);
-  const __m256d vlast_idx =
-      _mm256_set1_pd(static_cast<double>(lut.size - 1));
-  const __m128i imax = _mm_set1_epi32(static_cast<int>(lut.size - 1));
-  const __m128i izero = _mm_setzero_si128();
-  const __m128i ione = _mm_set1_epi32(1);
-  std::size_t t = 0;
-  for (; t + 4 <= count; t += 4) {
-    const __m256d delta =
-        Abs(_mm256_sub_pd(_mm256_loadu_pd(q + t), _mm256_loadu_pd(row + t)));
-    const __m256d clamp = _mm256_cmp_pd(delta, vmax, _CMP_GE_OQ);
-    const __m256d pos = _mm256_div_pd(delta, vstep);
+  __m256d operator()(__m256d q, __m256d row) const {
+    const __m256d d = _mm256_mul_pd(Abs(_mm256_sub_pd(q, row)), vscale_);
+    return _mm256_mul_pd(d, d);
+  }
+
+ private:
+  __m256d vscale_;
+};
+
+/// dust(Δ)² of four table-lookup points. Every lane operation mirrors
+/// DustLut::Eval exactly: |Δ|, the clamp at delta_max, pos = Δ/step (IEEE
+/// division), idx = floor(pos) (== the scalar's truncation for the
+/// non-negative pos), frac = pos − idx, two gathered cells and the lerp
+/// v0·(1−frac) + v1·frac with plain mul/add (no FMA — contraction would
+/// change the rounding) — so each lane result is bitwise the scalar Eval.
+class LutSquares {
+ public:
+  explicit LutSquares(const DustLut& lut)
+      : values_(lut.values),
+        vstep_(_mm256_set1_pd(lut.step)),
+        vmax_(_mm256_set1_pd(lut.delta_max)),
+        vlast_(_mm256_set1_pd(lut.values[lut.size - 1])),
+        vlast_idx_(_mm256_set1_pd(static_cast<double>(lut.size - 1))),
+        imax_(_mm_set1_epi32(static_cast<int>(lut.size - 1))) {}
+
+  __m256d operator()(__m256d q, __m256d row) const {
+    const __m256d delta = Abs(_mm256_sub_pd(q, row));
+    const __m256d clamp = _mm256_cmp_pd(delta, vmax_, _CMP_GE_OQ);
+    const __m256d pos = _mm256_div_pd(delta, vstep_);
     const __m256d idxd = _mm256_floor_pd(pos);
     const __m256d frac = _mm256_sub_pd(pos, idxd);
     // idx + 1 >= size ⟺ idx >= size − 1 (the scalar's second clamp).
-    const __m256d last = _mm256_cmp_pd(idxd, vlast_idx, _CMP_GE_OQ);
+    const __m256d last = _mm256_cmp_pd(idxd, vlast_idx_, _CMP_GE_OQ);
     const __m256d clamped = _mm256_or_pd(clamp, last);
     // Gather indices for clamped lanes are irrelevant (blended away) but
     // must stay in bounds.
     __m128i idx = _mm256_cvttpd_epi32(idxd);
-    idx = _mm_min_epi32(_mm_max_epi32(idx, izero), imax);
-    const __m128i idx1 = _mm_min_epi32(_mm_add_epi32(idx, ione), imax);
+    idx = _mm_min_epi32(_mm_max_epi32(idx, _mm_setzero_si128()), imax_);
+    const __m128i idx1 =
+        _mm_min_epi32(_mm_add_epi32(idx, _mm_set1_epi32(1)), imax_);
     // Masked gather with an all-ones mask and a zeroed source: same loads as
     // the plain gather, but avoids _mm256_undefined_pd inside the intrinsic
     // (GCC flags it -Wmaybe-uninitialized).
     const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    const __m256d v0 = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
-                                                lut.values, idx, all, 8);
-    const __m256d v1 = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
-                                                lut.values, idx1, all, 8);
+    const __m256d v0 = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), values_,
+                                                idx, all, 8);
+    const __m256d v1 = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), values_,
+                                                idx1, all, 8);
     const __m256d lerp = _mm256_add_pd(
-        _mm256_mul_pd(v0, _mm256_sub_pd(vone, frac)), _mm256_mul_pd(v1, frac));
-    const __m256d cell = _mm256_blendv_pd(lerp, vlast, clamped);
-    _mm256_storeu_pd(d2 + t, _mm256_mul_pd(cell, cell));
+        _mm256_mul_pd(v0, _mm256_sub_pd(_mm256_set1_pd(1.0), frac)),
+        _mm256_mul_pd(v1, frac));
+    const __m256d cell = _mm256_blendv_pd(lerp, vlast_, clamped);
+    return _mm256_mul_pd(cell, cell);
   }
-  for (; t < count; ++t) {
-    const double d = lut.Eval(q[t] - row[t]);
-    d2[t] = d * d;
-  }
-}
 
-/// Accumulate one row's dust(Δ)² values through `lut` into `sum`, chunked
-/// through the lane evaluators; the accumulation order is the scalar's.
-inline double DustRowAvx2(const double* q, const double* row, std::size_t n,
-                          const DustLut& lut) {
+ private:
+  const double* values_;
+  __m256d vstep_, vmax_, vlast_, vlast_idx_;
+  __m128i imax_;
+};
+
+/// One row, one chain: adds dust(Δ)² of `count` points to `sum` in
+/// ascending-timestamp order. Chunks of kDustChunk points are evaluated four
+/// lanes at a time (DustLut::Eval for the `% 4` tail) into a staging
+/// buffer, which is then summed serially.
+template <typename Squares>
+inline double AddStagedSquares(const double* q, const double* row,
+                               std::size_t count, const DustLut& lut,
+                               const Squares& squares, double sum) {
   double d2[kDustChunk];
-  double sum = 0.0;
-  for (std::size_t t = 0; t < n; t += kDustChunk) {
-    const std::size_t count = std::min(kDustChunk, n - t);
-    if (lut.values == nullptr) {
-      ClosedFormChunk(q + t, row + t, count, lut.scale, d2);
-    } else {
-      LutChunk(q + t, row + t, count, lut, d2);
+  for (std::size_t c = 0; c < count; c += kDustChunk) {
+    const std::size_t m = std::min(kDustChunk, count - c);
+    std::size_t t = 0;
+    for (; t + 4 <= m; t += 4) {
+      _mm256_storeu_pd(d2 + t, squares(_mm256_loadu_pd(q + c + t),
+                                       _mm256_loadu_pd(row + c + t)));
     }
-    for (std::size_t i = 0; i < count; ++i) sum += d2[i];
+    for (; t < m; ++t) {
+      const double d = lut.Eval(q[c + t] - row[c + t]);
+      d2[t] = d * d;
+    }
+    for (std::size_t i = 0; i < m; ++i) sum += d2[i];
   }
   return sum;
+}
+
+/// In-place 4×4 transpose: on entry a..d hold four timestamps of four rows,
+/// on exit a holds timestamp 0 of every row ({a0, b0, c0, d0}), b timestamp
+/// 1, and so on.
+inline void Transpose4x4(__m256d& a, __m256d& b, __m256d& c, __m256d& d) {
+  const __m256d ab_lo = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
+  const __m256d ab_hi = _mm256_unpackhi_pd(a, b);  // a1 b1 a3 b3
+  const __m256d cd_lo = _mm256_unpacklo_pd(c, d);  // c0 d0 c2 d2
+  const __m256d cd_hi = _mm256_unpackhi_pd(c, d);  // c1 d1 c3 d3
+  a = _mm256_permute2f128_pd(ab_lo, cd_lo, 0x20);
+  b = _mm256_permute2f128_pd(ab_hi, cd_hi, 0x20);
+  c = _mm256_permute2f128_pd(ab_lo, cd_lo, 0x31);
+  d = _mm256_permute2f128_pd(ab_hi, cd_hi, 0x31);
+}
+
+/// Candidates in lanes: DUST of the four consecutive rows starting at `row`
+/// into out[0..4). dust(Δ)² is evaluated four timestamps of one row per
+/// vector, the 4×4 tile is transposed, and lane i then adds its row's
+/// values in ascending-timestamp order — each lane runs exactly the scalar
+/// reference's chain 0.0 + d₀² + d₁² + … for its own row, so the result is
+/// bitwise DustBatchRange's, and the four independent chains hide the add
+/// latency a single in-order chain is bound by.
+template <typename Squares>
+inline void DustFourRows(const double* q, const double* row,
+                         std::size_t stride, std::size_t n,
+                         const DustLut& lut, const Squares& squares,
+                         double* out) {
+  const double* const rows[4] = {row, row + stride, row + 2 * stride,
+                                 row + 3 * stride};
+  __m256d acc = _mm256_setzero_pd();
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    const __m256d vq = _mm256_loadu_pd(q + t);
+    __m256d s0 = squares(vq, _mm256_loadu_pd(rows[0] + t));
+    __m256d s1 = squares(vq, _mm256_loadu_pd(rows[1] + t));
+    __m256d s2 = squares(vq, _mm256_loadu_pd(rows[2] + t));
+    __m256d s3 = squares(vq, _mm256_loadu_pd(rows[3] + t));
+    Transpose4x4(s0, s1, s2, s3);
+    acc = _mm256_add_pd(acc, s0);
+    acc = _mm256_add_pd(acc, s1);
+    acc = _mm256_add_pd(acc, s2);
+    acc = _mm256_add_pd(acc, s3);
+  }
+  alignas(32) double sums[4];
+  _mm256_store_pd(sums, acc);
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    for (std::size_t u = t; u < n; ++u) {
+      const double d = lut.Eval(q[u] - rows[lane][u]);
+      sums[lane] += d * d;
+    }
+  }
+  // IEEE sqrt is correctly rounded in both lanes and scalar.
+  _mm256_storeu_pd(out, _mm256_sqrt_pd(_mm256_load_pd(sums)));
 }
 
 void DustRangeAvx2(std::span<const double> query, const ts::RowBlock& block,
                    const DustLut& lut, std::size_t row_begin,
                    std::size_t row_end, std::span<double> out) {
-  // Closed form: dust(Δ) = |Δ|·scale is two cheap ops per element, so the
-  // row cost is the scalar-order Σ d² addition chain that bitwise identity
-  // pins — which is exactly the scalar kernel. The buffered lane pass only
-  // adds overhead there (measured ~20% slower); delegating is both the
-  // fastest bitwise-identical implementation and trivially exact. Table
-  // lookups are expensive enough that the lane evaluator wins (~1.3x).
-  if (lut.values == nullptr) {
-    DustBatchRange(query, block, lut, row_begin, row_end, out);
-    return;
-  }
   assert(query.size() == block.stride());
   assert(row_begin <= row_end && row_end <= block.rows());
   assert(out.size() == row_end - row_begin);
@@ -340,8 +388,28 @@ void DustRangeAvx2(std::span<const double> query, const ts::RowBlock& block,
   const std::size_t stride = block.stride();
   const double* q = query.data();
   const double* base = block.data();
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    out[r - row_begin] = std::sqrt(DustRowAvx2(q, base + r * stride, n, lut));
+  std::size_t r = row_begin;
+  for (; r + 4 <= row_end; r += 4) {
+    const double* rows = base + r * stride;
+    double* dst = out.data() + (r - row_begin);
+    if (lut.values == nullptr) {
+      DustFourRows(q, rows, stride, n, lut, ClosedFormSquares(lut), dst);
+    } else {
+      DustFourRows(q, rows, stride, n, lut, LutSquares(lut), dst);
+    }
+  }
+  // Fewer than four rows remain (the index cascade scores one at a time),
+  // so there is nothing to put in the other lanes: the closed form runs the
+  // scalar kernel, and the lookup keeps its gathers in lanes along the row,
+  // staged and then summed in order — still ahead of scalar lookups.
+  if (lut.values == nullptr) {
+    DustBatchRange(query, block, lut, r, row_end, out.subspan(r - row_begin));
+    return;
+  }
+  const LutSquares squares(lut);
+  for (; r < row_end; ++r) {
+    out[r - row_begin] = std::sqrt(
+        AddStagedSquares(q, base + r * stride, n, lut, squares, 0.0));
   }
 }
 
@@ -363,7 +431,6 @@ void DustClassedRangeAvx2(std::span<const double> query,
   // per-point-varying error models in general) evaluate scalar — bitwise
   // either way, since the accumulation order never changes.
   constexpr std::size_t kMinVectorRun = 8;
-  double d2[kDustChunk];
   for (std::size_t r = row_begin; r < row_end; ++r) {
     const double* row = block.data() + r * n;
     const std::uint16_t* ids = class_ids.data() + r * n;
@@ -379,15 +446,11 @@ void DustClassedRangeAvx2(std::span<const double> query,
       }
       const DustLut& lut = luts[t][ids[t]];
       if (run_end - t >= kMinVectorRun) {
-        for (std::size_t c = t; c < run_end; c += kDustChunk) {
-          const std::size_t count = std::min(kDustChunk, run_end - c);
-          if (lut.values == nullptr) {
-            ClosedFormChunk(q + c, row + c, count, lut.scale, d2);
-          } else {
-            LutChunk(q + c, row + c, count, lut, d2);
-          }
-          for (std::size_t i = 0; i < count; ++i) sum += d2[i];
-        }
+        sum = lut.values == nullptr
+                  ? AddStagedSquares(q + t, row + t, run_end - t, lut,
+                                     ClosedFormSquares(lut), sum)
+                  : AddStagedSquares(q + t, row + t, run_end - t, lut,
+                                     LutSquares(lut), sum);
       } else {
         for (std::size_t c = t; c < run_end; ++c) {
           const double d = lut.Eval(q[c] - row[c]);

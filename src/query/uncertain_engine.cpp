@@ -257,7 +257,7 @@ Result<std::vector<double>> UncertainEngine::DustDistances(
           const auto pin = ts::PinOrAbort(view, chunk.block);
           const std::span<const std::uint16_t> block_ids =
               std::span<const std::uint16_t>(class_ids_)
-                  .subspan(pin.first_row() * len);
+                  .subspan(pin.first_row() * len, pin.block().rows() * len);
           dispatch_->dust_classed_range(qrow, pin.block(), qluts, block_ids,
                                         chunk.begin - pin.first_row(),
                                         chunk.end - pin.first_row(),
@@ -394,7 +394,8 @@ index::ExactScorer UncertainEngine::DustCascadeScorer(
     const std::size_t local = row - pin.first_row();
     const std::span<const std::uint16_t> block_ids =
         std::span<const std::uint16_t>(class_ids_)
-            .subspan(pin.first_row() * store_.stride());
+            .subspan(pin.first_row() * store_.stride(),
+                     pin.block().rows() * store_.stride());
     double value = 0.0;
     dispatch_->dust_classed_range(qrow, pin.block(), qluts, block_ids, local,
                                   local + 1, std::span<double>(&value, 1));

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/matchers.hpp"
+#include "prob/distribution.hpp"
 #include "prob/rng.hpp"
 #include "query/engine.hpp"
 #include "query/engine_context.hpp"
@@ -281,6 +282,54 @@ TEST(OutOfCoreUncertainTest, DustPagedBitwiseEqualsResident) {
 
   for (std::size_t threads : kThreadCounts) {
     for (bool indexed : {false, true}) {
+      auto pool = MakePool(2 * kBlockBytes);
+      auto paged = query::UncertainEngine::Create(
+                       d, PagedUncertainOptions(threads, indexed, pool))
+                       .ValueOrDie();
+      ASSERT_TRUE(paged->BuildDustTables().ok());
+      const auto paged_distances = paged->DustDistances(2).ValueOrDie();
+      ASSERT_EQ(distances.size(), paged_distances.size());
+      for (std::size_t i = 0; i < distances.size(); ++i) {
+        EXPECT_EQ(distances[i], paged_distances[i]) << i;
+      }
+      ExpectSameNeighbors(knn, paged->KNearestDust(2, 7).ValueOrDie());
+      EXPECT_EQ(range, paged->RangeSearchDust(2, epsilon).ValueOrDie());
+      EXPECT_GT(pool->stats().faults, 0u);
+    }
+  }
+}
+
+TEST(OutOfCoreUncertainTest, DustClassedPagedBitwiseEqualsResident) {
+  // Mixed normal σ: two error classes, so every sweep and every cascade
+  // re-score runs the classed kernel on block-local slices of the class
+  // matrix, one per pinned block.
+  auto hi = prob::MakeNormalError(1.0);
+  auto lo = prob::MakeNormalError(0.4);
+  prob::Rng rng(22);
+  uncertain::UncertainDataset d;
+  d.name = "ooc-classed";
+  for (std::size_t s = 0; s < kSeries; ++s) {
+    std::vector<double> values(kLength);
+    std::vector<prob::ErrorDistributionPtr> errors(kLength);
+    for (std::size_t t = 0; t < kLength; ++t) {
+      values[t] = rng.Gaussian();
+      errors[t] = (s + t) % 3 == 0 ? hi : lo;
+    }
+    d.series.emplace_back(std::move(values), std::move(errors));
+  }
+  auto resident = query::UncertainEngine::Create(
+                      d, PagedUncertainOptions(1, false, nullptr))
+                      .ValueOrDie();
+  ASSERT_TRUE(resident->BuildDustTables().ok());
+  const auto distances = resident->DustDistances(2).ValueOrDie();
+  const auto knn = resident->KNearestDust(2, 7).ValueOrDie();
+  const double epsilon = knn[4].distance;
+  const auto range = resident->RangeSearchDust(2, epsilon).ValueOrDie();
+
+  for (std::size_t threads : kThreadCounts) {
+    for (bool indexed : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " indexed=" << indexed);
       auto pool = MakePool(2 * kBlockBytes);
       auto paged = query::UncertainEngine::Create(
                        d, PagedUncertainOptions(threads, indexed, pool))

@@ -26,6 +26,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "distance/batch.hpp"
@@ -320,6 +322,74 @@ TEST(SimdKernelParityTest, DustClassedBitwiseAcrossRunShapes) {
     simd.dust_classed_range(query, block, qluts, ids, 0, rows, got);
     for (std::size_t i = 0; i < rows; ++i) {
       EXPECT_EQ(got[i], want[i]) << "len=" << len << " row " << i;
+    }
+  }
+}
+
+/// Values whose differences hit the edge cases of the DUST lanes: ±0 (equal
+/// or opposite-signed zeros give Δ = ±0), subnormals, ordinary values and,
+/// when `huge`, 1e300 magnitudes (squares overflow to inf, and the lookup
+/// clamps).
+double DustEdgeValue(prob::Rng& rng, bool huge) {
+  switch (rng.Next() % (huge ? 6 : 5)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng.Next() % 1000) *
+             (rng.Next() % 2 == 0 ? 1.0 : -1.0);
+    case 3:
+    case 4:
+      return rng.Gaussian();
+    default:
+      return rng.Uniform(1.0, 9.0) * (rng.Next() % 2 == 0 ? 1e300 : -1e300);
+  }
+}
+
+TEST(SimdKernelParityTest, DustRangesBitwiseAtLaneRemainders) {
+  // The single-lut kernel puts four candidate rows in the lanes and scores
+  // the `rows % 4` remainder and the `len % 4` timestamp tail separately;
+  // every split of a range into lane groups and tails must stay bitwise.
+  UTS_REQUIRE_SIMD();
+  const KernelDispatch& simd = ResolveDispatch(SimdMode::kAuto);
+  DustLut closed;
+  closed.scale = 1.0 / std::sqrt(2.0 * (0.25 + 0.49));
+  const OwnedLut table = MakeTableLut(257, 4.0, 0.1);
+  const DustLut* const luts[] = {&closed, &table.view};
+  std::vector<std::size_t> lengths = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  lengths.insert(lengths.end(), std::begin(kLengths), std::end(kLengths));
+  constexpr std::size_t kRowBegins[] = {0, 1, 3, 5};
+  constexpr std::size_t kRangeSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9};
+  constexpr std::size_t kRows = 14;  // largest begin + largest size
+  for (std::size_t len : lengths) {
+    prob::Rng rng(0xed9e + len);
+    // Every third row carries 1e300 values (an inf sum); the others stay
+    // finite so their sums compare real roundings.
+    std::vector<double> values(kRows * len);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = DustEdgeValue(rng, (i / len) % 3 == 2);
+    }
+    const ts::SoaStore store =
+        ts::SoaStore::FromPacked(std::move(values), len).ValueOrDie();
+    const ts::RowBlock block = Block(store);
+    std::vector<double> query(len);
+    for (double& v : query) v = DustEdgeValue(rng, false);
+    for (const DustLut* lut : luts) {
+      for (std::size_t begin : kRowBegins) {
+        for (std::size_t size : kRangeSizes) {
+          std::vector<double> want(size), got(size);
+          DustBatchRange(query, block, *lut, begin, begin + size, want);
+          simd.dust_range(query, block, *lut, begin, begin + size, got);
+          for (std::size_t i = 0; i < size; ++i) {
+            EXPECT_EQ(got[i], want[i])
+                << (lut->values == nullptr ? "closed form" : "lookup")
+                << " len=" << len << " rows [" << begin << ", "
+                << begin + size << ") row " << begin + i;
+          }
+        }
+      }
     }
   }
 }

@@ -15,9 +15,10 @@ the committed ``BENCH_uncertain_baseline.json`` and fails (exit 1) when:
   absolute times: CI runners and the baseline machine differ in absolute
   speed, but a genuine regression (say, an accidental per-sweep repack)
   moves the ratio on any machine;
-* the AVX2 kernel's speedup over the scalar reference fell below the
-  per-pair floor (the ISSUE 6 acceptance gate: >=3x on the blocked
-  Euclidean 1-vs-all at length 1024, L2-resident candidate block). Skipped
+* an AVX2 kernel's speedup over the scalar reference fell below its
+  per-pair floor (>=3x on the blocked Euclidean 1-vs-all at length 1024,
+  L2-resident candidate block; >=1.4x on the DUST closed form at lengths
+  1024 and 131 and >=1.15x on the DUST table lookup at 1024). Skipped
   with a warning when the current run reports ``uts_simd_level`` other
   than ``avx2`` (hardware without AVX2+FMA cannot measure the pair);
 * a kernel's ``peak_fraction`` bandwidth counter (achieved GB/s divided by
@@ -79,11 +80,29 @@ PRUNED_FLOORS = [
 
 # (label, scalar benchmark, AVX2 benchmark, minimum speedup). Enforced on
 # the *current* run: cpu_time(scalar) / cpu_time(avx2) must be >= floor.
+# The DUST floors gate the candidates-in-lanes kernels (one row per lane,
+# bitwise the scalar chain). Closed form measured 1.76-2.75x at 1024 and
+# 1.80-2.94x at 131 (the offline-match FaceAll length): floor 1.4x. The
+# lookup is gather- and division-bound and noisier: a median of 1.77x over
+# 28 repetitions on a shared 4-vCPU Xeon, lowest 1.15x; the floor is the
+# median minus that spread, which still fails a fall back to scalar speed.
 SIMD_SPEEDUPS = [
     ("blocked Euclidean 1-vs-all @1024 (L2-resident)",
      "BM_ScanEuclideanBatchSoA_Scalar/1024/128",
      "BM_ScanEuclideanBatchSoA_Avx2/1024/128",
      3.0),
+    ("DUST closed form @1024 (candidates in lanes)",
+     "BM_DustKernelClosedForm_Scalar/1024",
+     "BM_DustKernelClosedForm_Avx2/1024",
+     1.4),
+    ("DUST closed form @131 (candidates in lanes)",
+     "BM_DustKernelClosedForm_Scalar/131",
+     "BM_DustKernelClosedForm_Avx2/131",
+     1.4),
+    ("DUST table lookup @1024 (candidates in lanes)",
+     "BM_DustKernelLookup_Scalar/1024",
+     "BM_DustKernelLookup_Avx2/1024",
+     1.15),
 ]
 
 
@@ -216,11 +235,11 @@ def main():
                 continue
             speedup = current[scalar] / current[avx2]
             verdict = "ok" if speedup >= floor else "FAIL"
-            print(f"  {label}: {speedup:.2f}x (floor {floor:.1f}x) {verdict}")
+            print(f"  {label}: {speedup:.2f}x (floor {floor:g}x) {verdict}")
             if speedup < floor:
                 failures.append(
                     f"{label}: AVX2 speedup {speedup:.2f}x below the "
-                    f"{floor:.1f}x floor")
+                    f"{floor:g}x floor")
 
     # -- Bandwidth gate: peak_fraction per kernel, baseline vs current. ------
     shared = sorted(set(base_frac) & set(cur_frac))
